@@ -40,6 +40,7 @@ class Communicator:
         self.name = name
         self._mail: Dict[Tuple[int, int, Any], Store] = {}
         self._splits: Dict[Tuple[int, int], "Communicator"] = {}
+        self._split_plans: Dict[int, "_SplitPlan"] = {}  # in-flight splits by seq
         self.messages = 0
         self.bytes = 0
         # Collective-trace validation (repro.mpi.trace): harness runs
@@ -302,23 +303,47 @@ class Comm:
     def _split(self, color: int, key: Optional[int] = None) -> Generator:
         key = self.rank if key is None else key
         triples = yield from self.allgather((color, key, self.rank), nbytes=24)
-        members = sorted((k, r) for c, k, r in triples if c == color)
-        ranks = [r for _, r in members]
-        # Every member derives an identical group from identical triples, so
-        # the first member to get here materializes the shared communicator
-        # and the rest adopt it (keyed by the SPMD-consistent collective seq).
-        registry = self._shared._splits
-        cache_key = (self._coll_seq, color)
-        shared = registry.get(cache_key)
+        # Every member derives the same grouping from the same triples, so
+        # the first arrival groups them once per split collective (keyed by
+        # the SPMD-consistent collective seq) and the rest look up their
+        # new rank in O(1); the last arrival drops the plan.
+        seq = self._coll_seq
+        parent = self._shared
+        plan = parent._split_plans.get(seq)
+        if plan is None:
+            plan = parent._split_plans[seq] = _SplitPlan(triples)
+        plan.pending -= 1
+        if plan.pending == 0:
+            del parent._split_plans[seq]
+        # The first member of each colour materializes the shared
+        # communicator; only there is the colour's member list built.
+        shared = parent._splits.get((seq, color))
         if shared is None:
             # The collective-seq suffix keeps names unique when one job
             # splits the same parent twice (the two-level parallel read
             # makes a "group" and a "leaders" comm that could otherwise
             # both be ".../split0"), which trace reports rely on.
             shared = Communicator(
-                self.env, self._shared.interconnect,
-                [self._shared.nodes[r] for r in ranks],
-                name=f"{self._shared.name}/split{color}@{self._coll_seq}",
+                self.env, parent.interconnect,
+                [parent.nodes[r] for r in plan.members[color]],
+                name=f"{parent.name}/split{color}@{seq}",
             )
-            registry[cache_key] = shared
-        return shared.view(ranks.index(self.rank))
+            parent._splits[(seq, color)] = shared
+        return shared.view(plan.new_rank[self.rank])
+
+
+class _SplitPlan:
+    """One split collective's grouping, shared by every member.
+
+    ``members[colour]`` lists parent ranks in ``(key, rank)`` order and
+    ``new_rank[r]`` is parent rank *r*'s position in its colour's list.
+    """
+
+    def __init__(self, triples: List[Tuple[Any, int, int]]):
+        self.pending = len(triples)
+        self.members: Dict[Any, List[int]] = {}
+        self.new_rank = [0] * len(triples)
+        for color, _key, rank in sorted(triples, key=lambda t: (t[1], t[2])):
+            ranks = self.members.setdefault(color, [])
+            self.new_rank[rank] = len(ranks)
+            ranks.append(rank)

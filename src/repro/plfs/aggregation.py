@@ -23,10 +23,14 @@ read-path contribution:
     total, no write-side cost — the paper's default.
 
 Implementation note: every rank is *charged* its full simulated cost, but
-ranks provably construct identical global indexes, so the Python-side
-object is memoized per container fingerprint (and shared through bcast by
-reference).  This is an optimization of the simulator, not of the modeled
-system.
+the simulator's own (host) work follows one rule: in a collective path, a
+rank's host work is O(its own shard), and anything identical across ranks
+is derived once and shared by reference.  Ranks provably construct
+identical global indexes, so the Python-side object is memoized per
+container fingerprint (and shared through bcast by reference); the
+Parallel Index Read manifest is built once by rank 0, and each rank
+resolves volumes for its own ``rank::size`` slice only.  These are
+optimizations of the simulator, not of the modeled system.
 """
 
 from __future__ import annotations
@@ -223,24 +227,32 @@ def aggregate_resilient(layout: ContainerLayout, client: Client,
     return merged
 
 
-def aggregate_parallel(layout: ContainerLayout, client: Client, comm,
-                       cfg: PlfsConfig) -> Generator:
-    """Parallel Index Read: hierarchical collective aggregation at read-open."""
-    if comm is None or comm.size == 1:
-        return (yield from aggregate_original(layout, client))
-    size, rank = comm.size, comm.rank
-    # Rank 0 enumerates the container and hands out work (§IV-B: "one
-    # process assigns work to groups of processes").
-    if rank == 0:
+def _my_shard(layout: ContainerLayout, client: Client, comm) -> Generator:
+    """This rank's index logs: files i of the manifest with i % size == rank.
+
+    Rank 0 enumerates the container and hands out work (§IV-B: "one
+    process assigns work to groups of processes").  The manifest reaches
+    every rank as one shared object; a rank resolves volumes for its own
+    slice only, and the manifest is dropped when this returns.
+    """
+    if comm.rank == 0:
         entries = yield from list_index_logs(layout, client)
         manifest = [(layout.subdir_for_writer(n), p, w, n) for _, p, w, n in entries]
     else:
         manifest = None
     manifest = yield from comm.bcast(manifest, nbytes=64 * (len(manifest) if manifest else 1),
                                      root=0)
-    entries = [(layout.subdir_volume(s), p, w, n) for s, p, w, n in manifest]
-    # My shard: files i with i % size == rank.
-    mine = entries[rank::size]
+    return [(layout.subdir_volume(s), p, w, n)
+            for s, p, w, n in manifest[comm.rank::comm.size]]
+
+
+def aggregate_parallel(layout: ContainerLayout, client: Client, comm,
+                       cfg: PlfsConfig) -> Generator:
+    """Parallel Index Read: hierarchical collective aggregation at read-open."""
+    if comm is None or comm.size == 1:
+        return (yield from aggregate_original(layout, client))
+    size, rank = comm.size, comm.rank
+    mine = yield from _my_shard(layout, client, comm)
     partial = yield from _read_and_parse(client, mine)
     yield comm.env.timeout(len(partial.journal) * MERGE_COST_PER_RECORD)
     # Two-level merge: groups of ~sqrt(N) (or the configured width).

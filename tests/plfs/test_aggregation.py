@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mpi import run_job
+from repro.mpi import run_job, trace
+from repro.mpi.trace import attach_tracer
 from repro.pfs.data import PatternData
 from repro.plfs.aggregation import (
     aggregate_original,
@@ -11,6 +12,7 @@ from repro.plfs.aggregation import (
     read_flattened_index,
 )
 from repro.plfs.config import PlfsConfig
+from repro.plfs.container import ContainerLayout
 from tests.conftest import make_world
 
 KB = 1000
@@ -119,6 +121,71 @@ class TestParallel:
 
         assert run_job(world.env, world.cluster, 1, fn,
                        client_id_base=100).results[0] == 4
+
+
+class TestParallelHostCost:
+    """The simulator's own work in a parallel read open is linear in ranks."""
+
+    def test_open_resolves_volumes_for_own_shard_only(self, monkeypatch):
+        n = 64
+        w = make_world(n_volumes=4, federation="subdir", aggregation="parallel")
+        write_n1(w, nprocs=n)
+        calls = [0]
+        subdir_volume = ContainerLayout.subdir_volume
+
+        def counted(self, s):
+            calls[0] += 1
+            return subdir_volume(self, s)
+
+        monkeypatch.setattr(ContainerLayout, "subdir_volume", counted)
+
+        def fn(ctx):
+            fh = yield from w.mount.open_read(ctx.client, "/f", ctx.comm)
+            return fh.size
+
+        res = run_job(w.env, w.cluster, n, fn, client_id_base=100)
+        assert res.results == [n * 20 * KB] * n
+        # Rank 0 lists every subdir, and each rank resolves its own log.
+        assert calls[0] <= 2 * n
+
+    def test_group_and_leader_splits_validated_at_drain(self, monkeypatch):
+        # A micro restart: N-1 strided write, then a parallel read open
+        # under a strict collective tracer.  Drain must still walk the
+        # two-level merge's "group" split (one comm per group) and its
+        # "leaders" split (leaders and everyone else).
+        n, gsize = 16, 4
+        w = make_world(n_volumes=2, federation="subdir", aggregation="parallel",
+                       parallel_group_size=gsize)
+        write_n1(w, nprocs=n)
+        attach_tracer(w.env, strict=True)
+        validated = []
+        mismatch_of = trace._mismatch_of
+
+        def spy(shared, by_rank):
+            validated.append((shared.name, sorted(by_rank)))
+            return mismatch_of(shared, by_rank)
+
+        monkeypatch.setattr(trace, "_mismatch_of", spy)
+
+        def fn(ctx):
+            fh = yield from w.mount.open_read(ctx.client, "/f", ctx.comm)
+            data = yield from fh.read(0, fh.size)
+            yield from fh.close()
+            return data.length
+
+        res = run_job(w.env, w.cluster, n, fn, name="restart",
+                      client_id_base=100)
+        assert res.results == [n * 20 * KB] * n
+        splits = {}
+        for name, ranks in validated:
+            if name.startswith("restart/split"):
+                color, seq = name[len("restart/split"):].split("@")
+                splits.setdefault(int(seq), {})[int(color)] = ranks
+        group_seq, leaders_seq = sorted(splits)
+        assert splits[group_seq] == {g: list(range(gsize)) for g in range(n // gsize)}
+        # Only the leaders run collectives on their comm; the other
+        # colour is created and validated, with nothing recorded.
+        assert splits[leaders_seq] == {0: list(range(n // gsize)), 1: []}
 
 
 class TestFlattenRead:
