@@ -55,9 +55,11 @@ def build_world(*, n_volumes: int = 1, n_nodes: int = 4, cores: int = 4,
     (``aggregation=...``, ``federation=...``, ...) unless an explicit
     ``plfs_cfg`` is given.
     """
-    # Sweeps build worlds in a loop; a retired world is hundreds of MB of
-    # cyclic engine/namespace references at paper scale, and the cycle
-    # collector doesn't keep up on its own.  Reclaim before building.
+    # The one place retired worlds are reclaimed.  Engine.run holds the
+    # cycle collector off while events fire, and a retired world is the
+    # one cyclic structure left: its Engine (bound into its own factory
+    # partials), whatever its queues still hold, and with
+    # --validate-collectives the tracer's cluster references.
     gc.collect()
     env = Engine()
     if sanitize_enabled():

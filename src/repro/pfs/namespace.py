@@ -10,10 +10,11 @@ event loop.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
 
 from ..errors import (
     DirectoryNotEmpty,
+    FSError,
     FileExists,
     FileNotFound,
     InvalidArgument,
@@ -26,6 +27,10 @@ from .extents import HOLE, ExtentJournal
 __all__ = ["FileData", "Inode", "Namespace", "normalize", "split_path"]
 
 _uid_counter = itertools.count(1)
+
+# Content of every never-written file; FileData never appends to these.
+_EMPTY_JOURNAL = ExtentJournal()
+_NO_SOURCES: List[DataSpec] = []
 
 
 def normalize(path: str) -> str:
@@ -47,14 +52,20 @@ def split_path(path: str) -> Tuple[str, str]:
 
 
 class FileData:
-    """Content of one regular file: an extent journal over recorded specs."""
+    """Content of one regular file: an extent journal over recorded specs.
 
-    __slots__ = ("journal", "sources", "_stamp")
+    Never-written files (most of a metadata storm's creates) share one
+    empty journal and sources list; the first write swaps in the file's
+    own, and :meth:`truncate` returns to the shared pair.  A record's
+    stamp is its source index plus one, so stamps rise in append order
+    within each journal and last-writer-wins resolution is by write order.
+    """
+
+    __slots__ = ("journal", "sources")
 
     def __init__(self) -> None:
-        self.journal = ExtentJournal()
-        self.sources: List[DataSpec] = []
-        self._stamp = itertools.count(1)
+        self.journal = _EMPTY_JOURNAL
+        self.sources: List[DataSpec] = _NO_SOURCES
 
     @property
     def size(self) -> int:
@@ -67,8 +78,11 @@ class FileData:
         if spec.length == 0:
             return
         src = len(self.sources)
+        if src == 0:
+            self.journal = ExtentJournal()
+            self.sources = []
         self.sources.append(spec)
-        self.journal.append(offset, spec.length, src, 0, stamp=float(next(self._stamp)))
+        self.journal.append(offset, spec.length, src, 0, stamp=float(src + 1))
 
     def append(self, spec: DataSpec) -> int:
         """Write at EOF; returns the offset the data landed at."""
@@ -93,8 +107,8 @@ class FileData:
 
     def truncate(self) -> None:
         """Truncate to zero length (recreate-with-O_TRUNC semantics)."""
-        self.journal = ExtentJournal()
-        self.sources = []
+        self.journal = _EMPTY_JOURNAL
+        self.sources = _NO_SOURCES
 
 
 class Inode:
@@ -124,27 +138,36 @@ class Namespace:
         self.n_dirs = 1
 
     # -- resolution ---------------------------------------------------------
-    def resolve(self, path: str) -> Inode:
-        """Walk *path* to its inode; raises FileNotFound/NotADirectory."""
+    def _walk(self, path: str) -> Union[Inode, Type[FSError]]:
+        """The inode at *path*, or the error class saying why there is none.
+
+        Returning instead of raising keeps existence checks (a create
+        storm makes tens of thousands) free of exception handling.
+        """
         node = self.root
         norm = normalize(path)
         if norm == "/":
             return node
         for part in norm[1:].split("/"):
             if not node.is_dir:
-                raise NotADirectory(path)
+                return NotADirectory
             child = node.children.get(part)
             if child is None:
-                raise FileNotFound(path)
+                return FileNotFound
             node = child
+        return node
+
+    def resolve(self, path: str) -> Inode:
+        """Walk *path* to its inode; raises FileNotFound/NotADirectory."""
+        node = self._walk(path)
+        if type(node) is not Inode:
+            raise node(path)
         return node
 
     def try_resolve(self, path: str) -> Optional[Inode]:
         """Like :meth:`resolve` but returns None instead of raising."""
-        try:
-            return self.resolve(path)
-        except (FileNotFound, NotADirectory):
-            return None
+        node = self._walk(path)
+        return node if type(node) is Inode else None
 
     def exists(self, path: str) -> bool:
         """True if *path* resolves to any inode."""

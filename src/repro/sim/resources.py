@@ -127,7 +127,14 @@ class FairShareServer:
     :meth:`fail_all` errors every in-flight job out (a crash that drops its
     queue).  All four keep the virtual-time bookkeeping exact, so a run
     with no faults injected is bit-identical to one built without hooks.
+
+    Slotted: worlds hold one per NIC, OSD and MDS plus one per mutated
+    directory, tens of thousands in a paper-scale metadata storm.
     """
+
+    __slots__ = ("env", "capacity", "name", "_vtime", "_t_last", "_jobs", "_seq",
+                 "_timer_seq", "_deadline", "_armed_at", "_paused",
+                 "total_served", "peak_active", "busy_time")
 
     def __init__(self, env: Engine, capacity: float, name: str = ""):
         if not (capacity > 0):
