@@ -200,9 +200,11 @@ def _drive_partition(world: Any) -> List[Any]:
     net = world.cluster.storage_net
     # Deterministic backoff (no rng => no jitter): replays are exact.
     policy = RetryPolicy(max_retries=8, base_delay=1e-3, jitter=0.0)
+    for vol in world.volumes:
+        vol.retry = policy
 
     def writer(env: Any):
-        h = yield from mount.open_write(client, "/p", retry=policy)
+        h = yield from mount.open_write(client, "/p")
         yield from h.write(0, PatternData(5, 0, 4096))
         yield from h.write(4096, PatternData(6, 4096, 4096))
         yield from mount.close_write(h)

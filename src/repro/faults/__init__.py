@@ -5,7 +5,7 @@ The subsystem has two halves.  The *plan* half (:mod:`plan`,
 policies that the storage and middleware layers import freely.  The
 *execution* half (:mod:`injector`, :mod:`verify`, :mod:`experiment`)
 imports the PLFS and workload stacks, so it is loaded lazily here: eager
-imports would cycle (``plfs.writer`` imports ``faults.policies``, which
+imports would cycle (``pfs.volume`` imports ``faults.policies``, which
 triggers this package).
 """
 

@@ -8,7 +8,8 @@ This experiment closes that loop quantitatively, PLFS vs direct N-1:
   seeded :class:`FaultPlan`: the same plan supplies the compute-failure
   clock *and* a schedule of component faults (OSD outages, MDS crashes)
   that strike while checkpoint and restart jobs are in flight.  Clients
-  survive the transients through bounded retry policies; the reported
+  survive the transients through a bounded retry policy on every backing
+  volume (:attr:`~repro.pfs.volume.Volume.retry`); the reported
   metric is useful-work efficiency vs MTBF and fault kind.
 * **Recovery leg** — one checkpoint job with an injected crash (a writer
   rank killed at a byte offset, or a component fault mid-write), followed
@@ -33,10 +34,10 @@ from ..harness.setup import build_world
 from ..harness.sweep import run_points
 from ..mpi import run_job
 from ..pfs.data import PatternData
-from ..workloads.base import IOStack, direct_stack, plfs_stack
+from ..workloads.base import direct_stack, plfs_stack
 from .injector import FaultInjector
 from .plan import COMPONENT_KINDS, FaultEvent, FaultPlan
-from .policies import RetryPolicy, retrying
+from .policies import RetryPolicy
 from .verify import AckedWrite, verify_recovery
 
 __all__ = ["faults", "run_faults_point"]
@@ -57,12 +58,6 @@ def _policy(plan: FaultPlan, stream: int) -> RetryPolicy:
                        rng=plan.rng("retry-jitter", stream))
 
 
-def _make_stack(stack_name: str, world, retry: RetryPolicy) -> IOStack:
-    if stack_name == "plfs":
-        return plfs_stack(world, retry=retry)
-    return direct_stack(world, retry=retry)
-
-
 # -- efficiency leg ----------------------------------------------------------
 
 def _component_plan(kind: str, mtbf: float, scale: Scale, world) -> FaultPlan:
@@ -80,9 +75,11 @@ def _efficiency_leg(stack_name: str, kind: str, mtbf: float, scale: Scale):
 
     world = build_world()
     plan = _component_plan(kind, mtbf, scale, world)
-    retry = _policy(plan, 0 if stack_name == "plfs" else 1)
+    for vol in world.volumes:
+        vol.retry = _policy(plan, 0 if stack_name == "plfs" else 1)
     injector = FaultInjector(world, plan) if plan.component_events else None
-    camp = Campaign(world, _make_stack(stack_name, world, retry),
+    stack = (plfs_stack if stack_name == "plfs" else direct_stack)(world)
+    camp = Campaign(world, stack,
                     nprocs=scale.faults_nprocs,
                     per_proc_bytes=scale.faults_per_proc,
                     record_bytes=scale.faults_record,
@@ -122,13 +119,13 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
     # spills — the interesting crash position for PLFS recovery.
     world = build_world(index_spill_records=4)
     plan = _recovery_plan(kind, scale)
-    retry = _policy(plan, 2)
+    for vol in world.volumes:
+        vol.retry = _policy(plan, 2)
     kills = plan.writer_kills()
     FaultInjector(world, plan).arm()
     path = "/faults/ckpt"
     nprocs = scale.faults_nprocs
     per_proc, record = scale.faults_per_proc, scale.faults_record
-    env = world.env
     mount, volume = world.mount, world.volume
 
     def fn(ctx):
@@ -147,10 +144,9 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
         # Independent opens: a killed rank must not strand the others at a
         # collective close, so nothing below is collective.
         if stack_name == "plfs":
-            h = yield from mount.open_write(ctx.client, path, None, retry=retry)
+            h = yield from mount.open_write(ctx.client, path, None)
         else:
-            h = yield from retrying(env, retry, lambda: volume.open(
-                ctx.client, path, "w"))
+            h = yield from volume.open(ctx.client, path, "w")
         seed_r = (plan.seed * 1_000_003 + ctx.rank) & 0x7FFFFFFF
         kill = kills.get(ctx.rank)
         acked: List[AckedWrite] = []
@@ -169,19 +165,16 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
             n = min(record, per_proc - written)
             off = ctx.rank * record + (written // record) * nprocs * record
             spec = PatternData(seed_r, written, n)
-            if stack_name == "plfs":
-                yield from h.write(off, spec)
-            else:
-                yield from retrying(env, retry, lambda o=off, s=spec: h.write(o, s))
+            yield from h.write(off, spec)
             acked.append(AckedWrite(ctx.rank, off, spec))
             written += n
         if stack_name == "plfs":
             yield from mount.close_write(h, None)
         else:
-            yield from retrying(env, retry, lambda: h.close())
+            yield from h.close()
         return acked
 
-    job = run_job(env, world.cluster, nprocs, fn, name=f"faults-{kind}",
+    job = run_job(world.env, world.cluster, nprocs, fn, name=f"faults-{kind}",
                   client_id_base=7000)
     acked_all: List[AckedWrite] = []
     for per_rank in job.results:

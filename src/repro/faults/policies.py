@@ -1,9 +1,10 @@
 """Client-side resilience: bounded timeout/retry with exponential backoff.
 
-Real PLFS clients (and the MPI-IO layers above them) survive transient
-storage faults by retrying with backoff; this module is the simulated
-equivalent, wrapped around the charged-time operations of the write and
-read paths.  Two invariants matter:
+Real file-system clients survive transient storage faults by retrying
+with backoff; this module is the simulated equivalent, applied at one
+boundary, the PFS client: :attr:`repro.pfs.volume.Volume.retry` wraps each
+leaf op of that volume, and nothing above it (PLFS, MPI-IO, the workload
+stacks) carries a policy or retries.  Two invariants matter:
 
 * **Bounded**: every policy has a retry cap and a wall-clock deadline, so
   a fault plan can never hang a run — a component that stays down past

@@ -13,6 +13,7 @@ exactly is slow about N-1?") for *their* workload.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from .report import Table
@@ -46,8 +47,10 @@ def resource_report(world: World) -> Table:
     pool = world.volume.pool
     osds = pool.osds
     busy = [o.server.busy_time for o in osds]
-    table.add("OSD pool (sum)", sum(busy),
-              sum(busy) / (len(osds) * env.now) if env.now else 0.0,
+    # fsum: exact, so independent of which OSD a file's lanes landed on
+    # (placement rotates with the process-global inode uid counter).
+    table.add("OSD pool (sum)", math.fsum(busy),
+              math.fsum(busy) / (len(osds) * env.now) if env.now else 0.0,
               f"{len(osds)} OSDs, {pool.total_bytes_moved / 1e9:.2f} GB, "
               f"{pool.total_seeks} seeks")
     table.add("OSD pool (max)", max(busy), (max(busy) / env.now) if env.now else 0.0,
@@ -67,7 +70,7 @@ def _hottest_dir_busy(mds) -> float:
 
 
 def _imbalance(busy: List[float]) -> float:
-    mean = sum(busy) / len(busy)
+    mean = math.fsum(busy) / len(busy)
     return (max(busy) / mean) if mean > 0 else 0.0
 
 

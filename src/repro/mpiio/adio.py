@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import InvalidArgument, UnsupportedOperation
-from ..faults.policies import RetryPolicy, retrying
 from ..pfs.data import DataSpec
 from ..pfs.volume import Client, Volume
 from ..plfs.api import PlfsMount
@@ -57,42 +56,38 @@ class UfsDriver(ADIODriver):
 
     name = "ufs"
 
-    def __init__(self, volume: Volume, retry: RetryPolicy = None):
+    def __init__(self, volume: Volume):
         self.volume = volume
-        self.retry = retry
 
     def open(self, client: Client, comm, path: str, mode: str) -> Generator:
         """Open on the backing volume; rank 0 creates/truncates shared files."""
         if mode not in ("r", "w", "rw"):
             raise InvalidArgument(path, f"bad mode {mode!r}")
-        env = self.volume.env
         creating = "w" in mode
         if comm is not None and comm.size > 1 and creating:
             # Rank 0 creates (and truncates); everyone else opens after.
-            # Each rank retries only its own open, never the bcast — a
-            # retried collective would desynchronize the communicator.
+            # Retry lives in the volume, under each rank's own open: the
+            # bcast is never retried, since a retried collective would
+            # desynchronize the communicator.
             if comm.rank == 0:
-                fh = yield from retrying(env, self.retry, lambda: self.volume.open(
-                    client, path, mode, create=True, truncate=True))
+                fh = yield from self.volume.open(client, path, mode, create=True,
+                                                 truncate=True)
                 yield from comm.bcast(None, nbytes=8, root=0)
             else:
                 yield from comm.bcast(None, nbytes=8, root=0)
-                fh = yield from retrying(env, self.retry, lambda: self.volume.open(
-                    client, path, mode))
+                fh = yield from self.volume.open(client, path, mode)
         else:
-            fh = yield from retrying(env, self.retry, lambda: self.volume.open(
-                client, path, mode, create=creating, truncate=creating))
+            fh = yield from self.volume.open(client, path, mode, create=creating,
+                                             truncate=creating)
         return fh
 
     def write_at(self, handle, offset: int, spec: DataSpec) -> Generator:
-        """Pass-through pwrite (retried whole under the driver's policy)."""
-        yield from retrying(self.volume.env, self.retry,
-                            lambda: handle.write(offset, spec))
+        """Pass-through pwrite."""
+        yield from handle.write(offset, spec)
 
     def read_at(self, handle, offset: int, length: int) -> Generator:
-        """Pass-through pread (retried whole under the driver's policy)."""
-        view = yield from retrying(self.volume.env, self.retry,
-                                   lambda: handle.read(offset, length))
+        """Pass-through pread."""
+        view = yield from handle.read(offset, length)
         return view
 
     def size(self, handle) -> int:
@@ -100,8 +95,8 @@ class UfsDriver(ADIODriver):
         return handle.size()
 
     def close(self, handle, comm) -> Generator:
-        """Plain close (independent, retried under the driver's policy)."""
-        yield from retrying(self.volume.env, self.retry, lambda: handle.close())
+        """Plain close (independent)."""
+        yield from handle.close()
 
 
 class PlfsDriver(ADIODriver):
@@ -109,25 +104,18 @@ class PlfsDriver(ADIODriver):
 
     name = "plfs"
 
-    def __init__(self, mount: PlfsMount, retry: RetryPolicy = None):
+    def __init__(self, mount: PlfsMount):
         self.mount = mount
-        self.retry = retry
 
     def open(self, client: Client, comm, path: str, mode: str) -> Generator:
-        """Route to PLFS open_write/open_read; rejects read-write mode.
-
-        The retry policy rides on the returned handle, so write_at/read_at
-        below stay pass-throughs — the PLFS layers do their own retrying.
-        """
+        """Route to PLFS open_write/open_read; rejects read-write mode."""
         if mode == "rw":
             raise UnsupportedOperation(
                 path, "PLFS does not support read-write opens of shared files")
         if mode == "w":
-            handle = yield from self.mount.open_write(client, path, comm,
-                                                      retry=self.retry)
+            handle = yield from self.mount.open_write(client, path, comm)
         else:
-            handle = yield from self.mount.open_read(client, path, comm,
-                                                     retry=self.retry)
+            handle = yield from self.mount.open_read(client, path, comm)
         return handle
 
     def write_at(self, handle, offset: int, spec: DataSpec) -> Generator:

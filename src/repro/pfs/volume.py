@@ -9,16 +9,24 @@ rigid realm-per-mount division that the paper works around.
 Every operation is a generator to ``yield from`` inside a simulated
 process; state changes (namespace, file content) are applied *after* the
 modeled time has been charged.
+
+Transient faults are retried here and nowhere above: under a
+:attr:`Volume.retry` policy each *leaf* op (one MDS or OSD request) is
+re-made whole on a :class:`~repro.errors.TransientIOError`, which is safe
+because time is charged before state changes.  Composites (makedirs,
+write_file, read_file, PLFS container ops) retry per leaf, never twice.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
 from ..cluster import Cluster, Node
 from ..errors import (BadFileHandle, FileNotFound, InvalidArgument,
-                      PermissionDenied, StorageUnavailable)
+                      PermissionDenied, StorageUnavailable, TransientIOError)
+from ..faults.policies import RetryPolicy, retrying
 from ..sim import Engine
 from .config import PfsConfig
 from .data import DataSpec, DataView
@@ -28,6 +36,19 @@ from .namespace import Inode, Namespace, split_path
 from .osd import OsdPool
 
 __all__ = ["Client", "Stat", "FileHandle", "Volume"]
+
+
+def _leaf(body: Callable[..., Generator]) -> Callable[..., Generator]:
+    """Make generator method *body* a leaf op: re-made whole on each
+    transient under the volume's retry policy.  With no policy the op is
+    *body*'s own generator (no extra frame)."""
+    @functools.wraps(body)
+    def op(self, *args, **kwargs):
+        vol = self.volume if isinstance(self, FileHandle) else self
+        if vol.retry is None:
+            return body(self, *args, **kwargs)
+        return retrying(vol.env, vol.retry, lambda: body(self, *args, **kwargs))
+    return op
 
 
 @dataclass(frozen=True)
@@ -73,7 +94,7 @@ class FileHandle:
         if want not in self.mode and self.mode != "rw":
             raise PermissionDenied(self.path, f"handle is {self.mode!r}, need {want!r}")
 
-    def write(self, offset: int, spec: DataSpec) -> Generator:
+    def _write(self, offset: int, spec: DataSpec) -> Generator:
         """Write *spec*'s content at *offset*.
 
         Sole-writer append streams take the write-back path: the bytes land
@@ -106,6 +127,8 @@ class FileHandle:
         yield from self._flush_writeback()
         yield from self._charge_write_through(offset, length)
         self._apply(offset, spec)
+
+    write = _leaf(_write)  # append wraps the raw body: never retried twice
 
     def _apply(self, offset: int, spec: DataSpec) -> None:
         self.inode.data.write(offset, spec)
@@ -142,12 +165,15 @@ class FileHandle:
         self._wb_len = 0
         yield from self._charge_write_through(start, n)
 
+    @_leaf
     def append(self, spec: DataSpec) -> Generator:
-        """Write at current EOF; returns the landing offset."""
+        """Write at current EOF; returns the landing offset.  A retry lands
+        again at the new EOF (retransmission semantics)."""
         offset = self.inode.data.size
-        yield from self.write(offset, spec)
+        yield from self._write(offset, spec)
         return offset
 
+    @_leaf
     def read(self, offset: int, length: int) -> Generator:
         """Read [offset, offset+length); returns a DataView (short at EOF)."""
         self._check("r")
@@ -181,6 +207,7 @@ class FileHandle:
         """Current file size in bytes."""
         return self.inode.data.size
 
+    @_leaf
     def close(self) -> Generator:
         """Flush pending write-back data and release the handle."""
         if self.closed:
@@ -214,6 +241,8 @@ class Volume:
         # Read coalescing: (node_id, inode_uid) -> completion event for a
         # whole-file fetch some co-located rank already has in flight.
         self._inflight: dict = {}
+        # Client retry policy for transient faults (module docstring).
+        self.retry: Optional[RetryPolicy] = None
 
     def _open_cost(self, node_id: int, uid: int) -> float:
         """Fractional op cost of an open, honouring the client md cache."""
@@ -234,6 +263,7 @@ class Volume:
             raise FileNotFound(parent_path)
         return {"dir_uid": parent.uid, "dir_entries": len(parent.children or ())}
 
+    @_leaf
     def mkdir(self, client: Client, path: str) -> Generator:
         """Create one directory (charges the parent-directory mutation)."""
         yield from self.mds.op("mkdir", **self._parent(path))
@@ -248,6 +278,7 @@ class Volume:
             if not self.ns.exists(cur):
                 yield from self.mkdir(client, cur)
 
+    @_leaf
     def open(self, client: Client, path: str, mode: str, *,
              create: bool = False, exclusive: bool = False,
              truncate: bool = False) -> Generator:
@@ -273,6 +304,7 @@ class Volume:
             inode = self.ns.create(path, exclusive=exclusive, truncate=truncate)
         return FileHandle(self, inode, client, mode, path)
 
+    @_leaf
     def stat(self, client: Client, path: str) -> Generator:
         """Attributes of *path*; returns a :class:`Stat`."""
         yield from self.mds.op("stat")
@@ -280,11 +312,13 @@ class Volume:
         return Stat(path=path, uid=node.uid, is_dir=node.is_dir,
                     size=0 if node.is_dir else node.data.size)
 
+    @_leaf
     def readdir(self, client: Client, path: str) -> Generator:
         """List a directory; returns sorted names."""
         yield from self.mds.op("readdir")
         return self.ns.readdir(path)
 
+    @_leaf
     def unlink(self, client: Client, path: str) -> Generator:
         """Remove a file and drop its lock/cache state."""
         yield from self.mds.op("unlink", **self._parent(path))
@@ -292,17 +326,20 @@ class Volume:
         self.ns.unlink(path)
         self.locks.forget_file(node.uid)
 
+    @_leaf
     def rmdir(self, client: Client, path: str) -> Generator:
         """Remove an empty directory."""
         yield from self.mds.op("rmdir", **self._parent(path))
         self.ns.rmdir(path)
 
+    @_leaf
     def rename(self, client: Client, old: str, new: str) -> Generator:
         """Atomic rename; destination must not exist."""
         yield from self.mds.op("rename", **self._parent(new))
         self.ns.rename(old, new)
 
     # -- batched paths -------------------------------------------------------
+    @_leaf
     def bulk_read_files(self, client: Client, paths: Sequence[str]) -> Generator:
         """Open, fully read, and close many small files as one charged batch.
 
@@ -322,9 +359,8 @@ class Volume:
                 raise InvalidArgument("bulk_read_files of a directory")
         cfg = self.cfg
         # Degraded-mode gate: the bulk path charges OSD servers directly
-        # (bypassing Osd.io), so check device health here, and do it before
-        # the in-flight registration below — raising after registering would
-        # leave joiners waiting on an event that never fires.
+        # (bypassing Osd.io), so check device health here, before anything
+        # is registered or charged.
         self.storage_net._check_up()
         for osd in self.pool.osds:
             if osd.down:
@@ -355,60 +391,72 @@ class Volume:
             done = self.env.event()
             for n in misses:
                 self._inflight[(client.node.id, n.uid)] = done
-        # Client metadata cache: co-located ranks re-opening the same files
-        # pay the cached fraction.
-        open_cost = sum(self._open_cost(client.node.id, n.uid) for n in inodes)
-        yield from self.mds.op("open", count=max(open_cost, 1e-6))
-        if hit_bytes:
-            yield self.env.timeout(hit_bytes / client.node.spec.mem_bw)
-        if misses:
-            total = sum(n.data.size for n in misses)
-            yield self.env.timeout(self.storage_latency
-                                   + self.storage_net.extra_latency)
-            n_osds = cfg.n_osds
-            overhead = (cfg.osd_seek_time + cfg.osd_op_overhead) * cfg.osd_bw
-            if len(misses) >= 2 * n_osds:
-                # Many files: uniformly placed, charge the pool evenly.  Each
-                # file costs one device request per lane it actually spans.
-                ops_total = sum(
-                    max(1, min(cfg.stripe_width, -(-n.data.size // cfg.stripe_unit)))
-                    for n in misses
-                )
-                per_osd_bytes = total / n_osds
-                per_osd_ops = max(1.0, ops_total / n_osds)
-                events = [
-                    osd.server.serve(per_osd_bytes + per_osd_ops * overhead)
-                    for osd in self.pool.osds
-                ]
-            else:
-                # Few files: charge exactly the OSDs their lanes live on.
-                demand: dict = {}
-                for n in misses:
-                    size = n.data.size
-                    lanes = max(1, min(cfg.stripe_width,
-                                       -(-size // cfg.stripe_unit)))
-                    for lane in range(lanes):
-                        osd = self.pool.lane_osd(n.uid, lane)
-                        demand[osd.index] = (demand.get(osd.index, 0.0)
-                                             + size / lanes + overhead)
-                events = [self.pool.osds[i].server.serve(d)
-                          for i, d in demand.items()]  # repro: noqa[REP004] - keyed by osd index from the deterministic lane walk
-            events += self.storage_net.path_events(client.node, total)
-            yield self.env.all_of(events)
-            if cache is not None and cfg.cache_fill_on_read:
-                for n in misses:
-                    # Whole-file slurps really did move every byte, so the
-                    # trailing partial block is legitimately resident.
-                    cache.insert(n.uid, 0, n.data.size)
+        failure = None
+        try:
+            # Client metadata cache: co-located ranks re-opening the same
+            # files pay the cached fraction.
+            open_cost = sum(self._open_cost(client.node.id, n.uid) for n in inodes)
+            yield from self.mds.op("open", count=max(open_cost, 1e-6))
+            if hit_bytes:
+                yield self.env.timeout(hit_bytes / client.node.spec.mem_bw)
+            if misses:
+                total = sum(n.data.size for n in misses)
+                yield self.env.timeout(self.storage_latency
+                                       + self.storage_net.extra_latency)
+                n_osds = cfg.n_osds
+                overhead = (cfg.osd_seek_time + cfg.osd_op_overhead) * cfg.osd_bw
+                if len(misses) >= 2 * n_osds:
+                    # Many files: uniformly placed, charge the pool evenly.  Each
+                    # file costs one device request per lane it actually spans.
+                    ops_total = sum(
+                        max(1, min(cfg.stripe_width, -(-n.data.size // cfg.stripe_unit)))
+                        for n in misses
+                    )
+                    per_osd_bytes = total / n_osds
+                    per_osd_ops = max(1.0, ops_total / n_osds)
+                    events = [
+                        osd.server.serve(per_osd_bytes + per_osd_ops * overhead)
+                        for osd in self.pool.osds
+                    ]
+                else:
+                    # Few files: charge exactly the OSDs their lanes live on.
+                    demand: dict = {}
+                    for n in misses:
+                        size = n.data.size
+                        lanes = max(1, min(cfg.stripe_width,
+                                           -(-size // cfg.stripe_unit)))
+                        for lane in range(lanes):
+                            osd = self.pool.lane_osd(n.uid, lane)
+                            demand[osd.index] = (demand.get(osd.index, 0.0)
+                                                 + size / lanes + overhead)
+                    events = [self.pool.osds[i].server.serve(d)
+                              for i, d in demand.items()]  # repro: noqa[REP004] - keyed by osd index from the deterministic lane walk
+                events += self.storage_net.path_events(client.node, total)
+                yield self.env.all_of(events)
+                if cache is not None and cfg.cache_fill_on_read:
+                    for n in misses:
+                        # Whole-file slurps really did move every byte, so the
+                        # trailing partial block is legitimately resident.
+                        cache.insert(n.uid, 0, n.data.size)
+        except TransientIOError as exc:
+            failure = exc
         if done is not None:
+            # Released on failure too, so no retry or co-located joiner waits
+            # on a fetch that never completes; joiners re-raise its failure.
             for n in misses:
                 self._inflight.pop((client.node.id, n.uid), None)
-            done.succeed()
+            done.succeed(failure)
+        if failure is not None:
+            raise failure
         if joins:
             yield self.env.all_of(joins)
+            for ev in joins:
+                if ev.value is not None:
+                    raise ev.value
         yield from self.mds.op("close", count=k)
         return [n.data.read(0, n.data.size) for n in inodes]
 
+    @_leaf
     def bulk_stat(self, client: Client, count: int) -> Generator:
         """Charge *count* stat calls as one batch (no state effect)."""
         yield from self.mds.op("stat", count=count)

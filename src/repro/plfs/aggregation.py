@@ -39,7 +39,6 @@ import math
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..errors import PartialViewError, PLFSError, TransientIOError
-from ..faults.policies import RetryPolicy, retrying
 from ..pfs.volume import Client, Volume
 from .config import PlfsConfig
 from .container import ContainerLayout
@@ -47,6 +46,7 @@ from .index import GlobalIndex, WriterIndex
 
 __all__ = [
     "list_index_logs",
+    "read_index_logs",
     "aggregate_original",
     "aggregate_parallel",
     "aggregate_resilient",
@@ -73,15 +73,27 @@ def _parse_index_log_name(name: str) -> Optional[Tuple[int, int]]:
     return None
 
 
-def list_index_logs(layout: ContainerLayout, client: Client) -> Generator:
-    """Enumerate every index log in the container (charges the readdirs)."""
+def list_index_logs(layout: ContainerLayout, client: Client,
+                    unreachable: Optional[List[int]] = None) -> Generator:
+    """Enumerate every index log in the container (charges the readdirs).
+
+    With *unreachable* given (degraded mode), a subdir whose readdir fails
+    with a transient error is appended there and skipped; the writers in
+    it are unknowable without the listing.
+    """
     out: List[IndexLogEntry] = []
     for s in range(layout.cfg.n_subdirs):
         vol = layout.subdir_volume(s)
         path = layout.subdir_path(s)
         if not vol.ns.exists(path):
             continue
-        names = yield from vol.readdir(client, path)
+        try:
+            names = yield from vol.readdir(client, path)
+        except TransientIOError:
+            if unreachable is None:
+                raise
+            unreachable.append(s)
+            continue
         for name in names:
             parsed = _parse_index_log_name(name)
             if parsed is not None:
@@ -99,20 +111,35 @@ def _fingerprint(entries: List[IndexLogEntry]) -> Tuple:
     return tuple(sorted(sig))
 
 
-def _read_and_parse(client: Client, entries: List[IndexLogEntry]) -> Generator:
-    """Bulk-read the given index logs (grouped per volume) and merge them."""
+def read_index_logs(client: Client, entries: List[IndexLogEntry], *,
+                    parse: bool = True,
+                    unreachable: Optional[List[int]] = None) -> Generator:
+    """Bulk-read index logs, one batch per volume; returns their merge.
+
+    ``parse=False`` charges the same reads and returns None (a memoized
+    index is being reused).  With *unreachable* given (degraded mode), the
+    writers of a batch that fails with a transient error are appended
+    there and the batch is skipped.
+    """
     # Grouped by volume *name* (stable identity — id() is a memory address
     # and differs across runs); iterated in first-seen entry order, which
     # is deterministic because the entry list is.
     by_volume: Dict[str, List[IndexLogEntry]] = {}
     for e in entries:
         by_volume.setdefault(e[0].name, []).append(e)
-    merged = GlobalIndex()
+    merged = GlobalIndex() if parse else None
     for group in by_volume.values():  # repro: noqa[REP004] -- grouped by a deterministic walk of rank-ordered entries
         vol = group[0][0]
-        views = yield from vol.bulk_read_files(client, [path for _, path, _, _ in group])
-        for (_, _, writer_id, node_id), view in zip(group, views):
-            merged.merge(WriterIndex.parse(view, writer_id, node_id))
+        try:
+            views = yield from vol.bulk_read_files(client, [path for _, path, _, _ in group])
+        except TransientIOError:
+            if unreachable is None:
+                raise
+            unreachable.extend(writer_id for _, _, writer_id, _ in group)
+            continue
+        if merged is not None:
+            for (_, _, writer_id, node_id), view in zip(group, views):
+                merged.merge(WriterIndex.parse(view, writer_id, node_id))
     return merged
 
 
@@ -136,7 +163,7 @@ def aggregate_original(layout: ContainerLayout, client: Client,
         hit = cache.get(key)
         if hit is not None:
             # Same simulated cost as a miss; skip only the Python-side parse.
-            yield from _charge_only(layout, client, entries)
+            yield from read_index_logs(client, entries, parse=False)
             if isinstance(hit, tuple):  # ('pending', event): parse in flight
                 yield hit[1]
                 merged = cache[key]
@@ -145,7 +172,7 @@ def aggregate_original(layout: ContainerLayout, client: Client,
             yield env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
             return merged
         cache[key] = ("pending", env.event())
-    merged = yield from _read_and_parse(client, entries)
+    merged = yield from read_index_logs(client, entries)
     yield env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
     if cache is not None:
         pending = cache[key]
@@ -155,73 +182,26 @@ def aggregate_original(layout: ContainerLayout, client: Client,
     return merged
 
 
-def _charge_only(layout: ContainerLayout, client: Client,
-                 entries: List[IndexLogEntry]) -> Generator:
-    """Charge exactly what :func:`_read_and_parse` charges, sans parsing."""
-    # Same stable grouping and first-seen order as _read_and_parse.
-    by_volume: Dict[str, List[IndexLogEntry]] = {}
-    for e in entries:
-        by_volume.setdefault(e[0].name, []).append(e)
-    for group in by_volume.values():  # repro: noqa[REP004] -- grouped by a deterministic walk of rank-ordered entries
-        vol = group[0][0]
-        yield from vol.bulk_read_files(client, [path for _, path, _, _ in group])
+def aggregate_resilient(layout: ContainerLayout, client: Client) -> Generator:
+    """Original aggregation in degraded mode (independent opens only).
 
-
-def aggregate_resilient(layout: ContainerLayout, client: Client,
-                        retry: RetryPolicy) -> Generator:
-    """Original aggregation under a retry policy (independent opens only).
-
-    Each per-volume index-log batch is retried under *retry*; a batch that
-    stays unreachable past the policy's bounds is *skipped* and its writers
-    recorded, and the open fails with :class:`PartialViewError` naming
-    every missing writer — a diagnosable partial view instead of a hang or
-    a bare EIO mid-merge.  Collective aggregation cannot do this (one
-    rank's exception would strand the others at the next collective), which
-    is why :meth:`PlfsMount.open_read` routes only ``comm=None`` here.
+    The same walk as :func:`aggregate_original`, with every volume op
+    already retried by the volume's policy; a subdir or index-log batch
+    that stays unreachable past those retries is *skipped* and recorded,
+    and the open fails with :class:`PartialViewError` naming every missing
+    writer and subdir — a diagnosable partial view instead of a hang or a
+    bare EIO mid-merge.  Collective aggregation cannot do this (one rank's
+    exception would strand the others at the next collective), which is
+    why :meth:`PlfsMount.open_read` routes only ``comm=None`` here.
 
     No memoization: a degraded-mode read's outcome depends on fault timing,
     not just container state, so caching would alias distinct outcomes.
     """
-    env = layout.home_volume.env
-    # Enumerate per subdir so one unreachable volume cannot abort the whole
-    # open: its subdir is recorded (the writers there are unknowable without
-    # the readdir) and the remaining subdirs still contribute.
-    entries: List[IndexLogEntry] = []
     missing_subdirs: List[int] = []
-    for s in range(layout.cfg.n_subdirs):
-        vol = layout.subdir_volume(s)
-        path = layout.subdir_path(s)
-        if not vol.ns.exists(path):
-            continue
-        try:
-            names = yield from retrying(
-                env, retry, lambda v=vol, p=path: v.readdir(client, p))
-        except TransientIOError:
-            missing_subdirs.append(s)
-            continue
-        for name in names:
-            parsed = _parse_index_log_name(name)
-            if parsed is not None:
-                node_id, writer_id = parsed
-                entries.append((vol, f"{path}/{name}", writer_id, node_id))
-    # Stable grouping key + first-seen order, as in _read_and_parse.
-    by_volume: Dict[str, List[IndexLogEntry]] = {}
-    for e in entries:
-        by_volume.setdefault(e[0].name, []).append(e)
-    merged = GlobalIndex()
     missing: List[int] = []
-    for group in by_volume.values():  # repro: noqa[REP004] -- grouped by a deterministic walk of rank-ordered entries
-        vol = group[0][0]
-        paths = [path for _, path, _, _ in group]
-        try:
-            views = yield from retrying(
-                env, retry, lambda v=vol, p=paths: v.bulk_read_files(client, p))
-        except TransientIOError:
-            missing.extend(writer_id for _, _, writer_id, _ in group)
-            continue
-        for (_, _, writer_id, node_id), view in zip(group, views):
-            merged.merge(WriterIndex.parse(view, writer_id, node_id))
-    yield env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
+    entries = yield from list_index_logs(layout, client, missing_subdirs)
+    merged = yield from read_index_logs(client, entries, unreachable=missing)
+    yield layout.home_volume.env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
     if missing or missing_subdirs:
         raise PartialViewError(layout.path, missing, missing_subdirs)
     return merged
@@ -253,7 +233,7 @@ def aggregate_parallel(layout: ContainerLayout, client: Client, comm,
         return (yield from aggregate_original(layout, client))
     size, rank = comm.size, comm.rank
     mine = yield from _my_shard(layout, client, comm)
-    partial = yield from _read_and_parse(client, mine)
+    partial = yield from read_index_logs(client, mine)
     yield comm.env.timeout(len(partial.journal) * MERGE_COST_PER_RECORD)
     # Two-level merge: groups of ~sqrt(N) (or the configured width).
     gsize = cfg.parallel_group_size or max(1, round(math.sqrt(size)))

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Sequence
 
 from ..errors import FileExists, FileNotFound, PLFSError, UnsupportedOperation
-from ..faults.policies import RetryPolicy, retrying
 from ..pfs.volume import Client, Stat, Volume
 from ..sim import Engine
 from .aggregation import (
@@ -60,37 +59,30 @@ class PlfsMount:
 
     # -- write side ---------------------------------------------------------
     def open_write(self, client: Client, path: str, comm=None, *,
-                   mode: str = "w", truncate: bool = False,
-                   retry: RetryPolicy = None) -> Generator:
+                   mode: str = "w", truncate: bool = False) -> Generator:
         """Open a logical file for writing; returns a :class:`PlfsWriteHandle`.
 
         Collective when *comm* is given: rank 0 creates the container and
         the rest wait (one skeleton creation per job, like the ADIO
         driver).  Independent otherwise: first writer wins the create race.
         ``truncate`` gives O_TRUNC semantics: the logical file is emptied
-        (all existing droppings removed) before writing begins.  *retry*
-        makes the open and every subsequent write on the handle survive
-        transient storage faults (see :mod:`repro.faults.policies`).
+        (all existing droppings removed) before writing begins.  Transient
+        storage faults are retried below PLFS, per backing-volume op, under
+        the volumes' :attr:`~repro.pfs.volume.Volume.retry` policy.
         """
         if mode != "w":
             raise UnsupportedOperation(
                 path, "PLFS does not support read-write opens of shared files")
         layout = self.layout(path)
-        if comm is not None and comm.size > 1:
-            if comm.rank == 0:
-                existed = layout.exists()
-                yield from retrying(self.env, retry,
-                                    lambda: layout.ensure_skeleton(client))
-                if truncate and existed:
-                    yield from layout.truncate(client)
-            yield from comm.bcast(None, nbytes=8, root=0)
-        else:
+        collective = comm is not None and comm.size > 1
+        if not collective or comm.rank == 0:
             existed = layout.exists()
-            yield from retrying(self.env, retry,
-                                lambda: layout.ensure_skeleton(client))
+            yield from layout.ensure_skeleton(client)
             if truncate and existed:
                 yield from layout.truncate(client)
-        handle = yield from open_write_handle(layout, client, retry=retry)
+        if collective:
+            yield from comm.bcast(None, nbytes=8, root=0)
+        handle = yield from open_write_handle(layout, client)
         if truncate:
             self._index_cache = {k: v for k, v in self._index_cache.items()  # repro: noqa[REP004] - order-preserving filter of a deterministic cache
                                  if k[0] != layout.path}
@@ -109,26 +101,26 @@ class PlfsMount:
         return flattened
 
     # -- read side -----------------------------------------------------------
-    def open_read(self, client: Client, path: str, comm=None, *,
-                  retry: RetryPolicy = None) -> Generator:
+    def open_read(self, client: Client, path: str, comm=None) -> Generator:
         """Open for reading: aggregate the global index per the configured
         strategy, then hand back a :class:`PlfsReadHandle`.
 
-        With *retry* set and ``comm=None``, aggregation runs in resilient
-        mode: unreachable index logs are skipped and reported as a
-        :class:`~repro.errors.PartialViewError` naming the missing writers
-        instead of hanging.  Collective opens ignore *retry* during
-        aggregation (a per-rank exception would strand the other ranks at
-        the next collective) but reads on the returned handle still retry.
+        Every backing-volume op, aggregation's index-log reads included,
+        retries transients under the volumes' retry policy.  An independent
+        open (``comm=None``) on volumes that carry one runs in degraded
+        mode: index logs still unreachable after the retries are skipped
+        and reported as a :class:`~repro.errors.PartialViewError` naming
+        the missing writers.  Collective opens never degrade (a per-rank
+        exception would strand the other ranks at the next collective).
         """
         layout = self.layout(path)
         if not layout.exists():
             raise FileNotFound(path)
         strategy = self.cfg.aggregation
         gi: Optional[GlobalIndex] = None
-        if retry is not None and comm is None:
-            gi = yield from aggregate_resilient(layout, client, retry)
-            return PlfsReadHandle(layout, client, gi, retry=retry)
+        if comm is None and layout.home_volume.retry is not None:
+            gi = yield from aggregate_resilient(layout, client)
+            return PlfsReadHandle(layout, client, gi)
         if strategy == "flatten":
             gi = yield from read_flattened_index(layout, client, comm)
         if gi is None:
@@ -136,7 +128,7 @@ class PlfsMount:
                 gi = yield from aggregate_parallel(layout, client, comm, self.cfg)
             else:
                 gi = yield from aggregate_original(layout, client, self._index_cache)
-        return PlfsReadHandle(layout, client, gi, retry=retry)
+        return PlfsReadHandle(layout, client, gi)
 
     # -- namespace / metadata --------------------------------------------------
     def create(self, client: Client, path: str, *, exclusive: bool = False) -> Generator:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from ..errors import BadFileHandle, InvalidArgument, PLFSError
-from ..faults.policies import RetryPolicy, retrying
 from ..pfs.data import DataView, ZeroData
 from ..pfs.extents import HOLE
 from ..pfs.volume import Client, FileHandle
@@ -28,11 +27,10 @@ class PlfsReadHandle:
     """One reader's open-for-read state on a PLFS logical file."""
 
     def __init__(self, layout: ContainerLayout, client: Client,
-                 global_index: GlobalIndex, retry: RetryPolicy = None):
+                 global_index: GlobalIndex):
         self.layout = layout
         self.client = client
         self.global_index = global_index
-        self.retry = retry
         self._logs: Dict[int, FileHandle] = {}
         self.closed = False
         self.bytes_read = 0
@@ -50,8 +48,7 @@ class PlfsReadHandle:
             s = self.layout.subdir_for_writer(node_id)
             vol = self.layout.subdir_volume(s)
             path = self.layout.data_log_path(node_id, writer_id)
-            fh = yield from retrying(vol.env, self.retry,
-                                     lambda: vol.open(self.client, path, "r"))
+            fh = yield from vol.open(self.client, path, "r")
             self._logs[writer_id] = fh
         return fh
 
@@ -71,8 +68,7 @@ class PlfsReadHandle:
                 pieces.append(ZeroData(n))
                 continue
             fh = yield from self._log_handle(writer)
-            view = yield from retrying(fh.volume.env, self.retry,
-                                       lambda: fh.read(phys, n))
+            view = yield from fh.read(phys, n)
             if view.length != n:
                 raise PLFSError(
                     f"data log for writer {writer} shorter than its index "
@@ -88,6 +84,6 @@ class PlfsReadHandle:
         # close order is part of the event schedule and must not depend on
         # which logs this reader happened to touch first.
         for _writer_id, fh in sorted(self._logs.items()):
-            yield from retrying(fh.volume.env, self.retry, lambda: fh.close())
+            yield from fh.close()
         self._logs.clear()
         self.closed = True

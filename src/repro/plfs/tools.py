@@ -23,7 +23,7 @@ from typing import Generator, List, Tuple
 from ..errors import FileNotFound
 from ..pfs.extents import HOLE
 from ..pfs.volume import Client
-from .aggregation import list_index_logs, _read_and_parse
+from .aggregation import list_index_logs, read_index_logs
 from .container import ContainerLayout, meta_dropping_name, parse_meta_dropping
 
 __all__ = ["MapEntry", "CheckReport", "plfs_map", "plfs_check", "plfs_recover"]
@@ -53,7 +53,7 @@ class CheckReport:
 
 def _build_index(layout: ContainerLayout, client: Client) -> Generator:
     entries = yield from list_index_logs(layout, client)
-    gi = yield from _read_and_parse(client, entries)
+    gi = yield from read_index_logs(client, entries)
     return gi
 
 

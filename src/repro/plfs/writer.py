@@ -15,7 +15,6 @@ from typing import Generator
 
 from ..analysis.sanitize import raw_snapshot, tracked
 from ..errors import BadFileHandle, FileNotFound, InvalidArgument
-from ..faults.policies import RetryPolicy, retrying
 from ..pfs.data import DataSpec
 from ..pfs.volume import Client, FileHandle
 from .container import ContainerLayout, meta_dropping_name, openhost_name
@@ -56,22 +55,19 @@ def host_refs_snapshot(home) -> dict:
     return {k: tuple(v) for k, v in sorted(raw_snapshot(reg).items())}
 
 
-def open_write_handle(layout: ContainerLayout, client: Client,
-                      retry: RetryPolicy = None) -> Generator:
+def open_write_handle(layout: ContainerLayout, client: Client) -> Generator:
     """Per-writer open: ensure the subdir, create data+index logs, mark host.
 
     The container skeleton must already exist (see
     :meth:`PlfsMount.open_write` / :meth:`ContainerLayout.ensure_skeleton`).
-    Returns a :class:`PlfsWriteHandle`.  Each constituent metadata op is
-    individually retried under *retry* — safe because the volume charges
-    an op's time *before* mutating the namespace, so a failed attempt
-    leaves nothing behind.
+    Returns a :class:`PlfsWriteHandle`.  Transient faults are retried by
+    the backing volumes, one metadata op at a time (see
+    :mod:`repro.pfs.volume`).
     """
-    env = layout.home_volume.env
     node_id = client.node.id
     writer_id = client.client_id
     s = layout.subdir_for_writer(node_id)
-    yield from retrying(env, retry, lambda: layout.ensure_subdir(client, s))
+    yield from layout.ensure_subdir(client, s)
     vol = layout.subdir_volume(s)
     # Dropping names are per-open, like real PLFS's host.pid.timestamp: a
     # client re-opening the same logical file (append after close) gets a
@@ -80,10 +76,10 @@ def open_write_handle(layout: ContainerLayout, client: Client,
         writer_id += 1_000_003
     data_path = layout.data_log_path(node_id, writer_id)
     index_path = layout.index_log_path(node_id, writer_id)
-    data_fh = yield from retrying(env, retry, lambda: vol.open(
-        client, data_path, "w", create=True, truncate=True))
-    index_fh = yield from retrying(env, retry, lambda: vol.open(
-        client, index_path, "w", create=True, truncate=True))
+    data_fh = yield from vol.open(client, data_path, "w", create=True,
+                                  truncate=True)
+    index_fh = yield from vol.open(client, index_path, "w", create=True,
+                                   truncate=True)
     # Openhosts dropping marks this *host* as live (first writer creates it).
     home = layout.home_volume
     reg = _host_registry(home)
@@ -92,11 +88,10 @@ def open_write_handle(layout: ContainerLayout, client: Client,
     entry[0] += 1
     if entry[0] == 1:
         oh_path = f"{layout.openhosts_path}/{openhost_name(node_id)}"
-        oh = yield from retrying(env, retry, lambda: home.open(
-            client, oh_path, "w", create=True))
+        oh = yield from home.open(client, oh_path, "w", create=True)
         yield from oh.close()
     return PlfsWriteHandle(layout, client, data_fh, index_fh,
-                           writer_id=writer_id, retry=retry)
+                           writer_id=writer_id)
 
 
 class PlfsWriteHandle:
@@ -104,12 +99,11 @@ class PlfsWriteHandle:
 
     def __init__(self, layout: ContainerLayout, client: Client,
                  data_fh: FileHandle, index_fh: FileHandle,
-                 writer_id: int = None, retry: RetryPolicy = None):
+                 writer_id: int = None):
         self.layout = layout
         self.client = client
         self.data_fh = data_fh
         self.index_fh = index_fh
-        self.retry = retry
         if writer_id is None:
             writer_id = client.client_id
         self.index = WriterIndex(writer_id=writer_id, node_id=client.node.id,
@@ -133,8 +127,7 @@ class PlfsWriteHandle:
         # A retried append may leave an unindexed first copy in the log
         # (dead space); the index records only the acknowledged copy, so
         # logical content is unchanged — retransmission semantics.
-        physical = yield from retrying(self.env, self.retry,
-                                       lambda: self.data_fh.append(spec))
+        physical = yield from self.data_fh.append(spec)
         self.index.record(offset, spec.length, physical, stamp=self.env.now)
         self.bytes_written += spec.length
         spill = self.layout.cfg.index_spill_records
@@ -146,8 +139,7 @@ class PlfsWriteHandle:
         hi = len(self.index)
         if hi > self._spilled_records:
             chunk = self.index.serialize_range(self._spilled_records, hi)
-            yield from retrying(self.env, self.retry,
-                                lambda: self.index_fh.append(chunk))
+            yield from self.index_fh.append(chunk)
             self._spilled_records = hi
             self.index.seal()
 
@@ -179,8 +171,8 @@ class PlfsWriteHandle:
         if self.closed:
             raise BadFileHandle(self.layout.path)
         yield from self._spill_index()
-        yield from retrying(self.env, self.retry, lambda: self.index_fh.close())
-        yield from retrying(self.env, self.retry, lambda: self.data_fh.close())
+        yield from self.index_fh.close()
+        yield from self.data_fh.close()
         yield from self._drop_metadata()
         self.closed = True
 
@@ -206,16 +198,14 @@ class PlfsWriteHandle:
         del reg[key]
         name = meta_dropping_name(entry[1], entry[2], node_id, 0)
         meta_path = f"{self.layout.meta_path}/{name}"
-        meta = yield from retrying(self.env, self.retry, lambda: home.open(
-            client, meta_path, "w", create=True))
-        yield from retrying(self.env, self.retry, lambda: meta.close())
+        meta = yield from home.open(client, meta_path, "w", create=True)
+        yield from meta.close()
         if key in reg:
             # A new generation opened while the dropping was being written:
             # the host is live again and its openhost mark must survive.
             return
         oh_path = f"{self.layout.openhosts_path}/{openhost_name(node_id)}"
         try:
-            yield from retrying(self.env, self.retry,
-                                lambda: home.unlink(client, oh_path))
+            yield from home.unlink(client, oh_path)
         except FileNotFound:
             pass  # a racing generation's closer already cleared the mark

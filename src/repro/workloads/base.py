@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
-from ..faults.policies import RetryPolicy
 from ..harness.setup import World
 from ..mpi import run_job
 from ..mpiio import ADIODriver, Hints, MPIFile, PlfsDriver, UfsDriver
@@ -42,19 +41,17 @@ class IOStack:
     hints: Hints = field(default_factory=Hints)
 
 
-def direct_stack(world: World, hints: Hints = None,
-                 retry: RetryPolicy = None) -> IOStack:
+def direct_stack(world: World, hints: Hints = None) -> IOStack:
     """Direct access to the underlying parallel file system ('W/O PLFS')."""
     return IOStack(name="direct",
-                   make_driver=lambda: UfsDriver(world.volume, retry=retry),
+                   make_driver=lambda: UfsDriver(world.volume),
                    hints=hints or Hints())
 
 
-def plfs_stack(world: World, hints: Hints = None,
-               retry: RetryPolicy = None) -> IOStack:
+def plfs_stack(world: World, hints: Hints = None) -> IOStack:
     """Access through the PLFS middleware's ADIO driver."""
     return IOStack(name="plfs",
-                   make_driver=lambda: PlfsDriver(world.mount, retry=retry),
+                   make_driver=lambda: PlfsDriver(world.mount),
                    hints=hints or Hints())
 
 

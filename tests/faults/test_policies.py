@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigError, StorageUnavailable
+from repro.errors import ConfigError, StorageUnavailable, TransientIOError
 from repro.faults.plan import FaultPlan
 from repro.faults.policies import RetryPolicy, retrying
+from repro.mpi import run_job
+from repro.pfs import PfsConfig
+from repro.pfs.data import PatternData
 from repro.sim import Engine
+from tests.conftest import make_world
 
 
 def attempts(fail_first: int, counter: dict):
@@ -17,6 +21,32 @@ def attempts(fail_first: int, counter: dict):
         return "ok"
         yield  # unreachable; makes this a generator function
     return attempt
+
+
+def _through_volume(op, policy):
+    """Run *op* against a world whose volume carries *policy* and whose
+    storage (OSDs for a PLFS write, the MDS otherwise) is down for good."""
+    # No write-back, so the append goes straight to the failed OSDs.
+    world = make_world(pfs_cfg=PfsConfig(writeback_bytes=0))
+    vol = world.volume
+
+    def fn(ctx):
+        if op == "plfs-write":
+            h = yield from world.mount.open_write(ctx.client, "/f", None)
+            for osd in vol.pool.osds:
+                osd.fail()
+            vol.retry = policy
+            yield from h.write(0, PatternData(1, 0, 4096))
+        else:
+            vol.retry = policy
+            vol.mds.crash()
+            if op == "makedirs":
+                yield from vol.makedirs(ctx.client, "/a/b/c")
+            else:
+                yield from vol.write_file(ctx.client, "/g", PatternData(1, 0, 4096))
+
+    with pytest.raises(TransientIOError):
+        run_job(world.env, world.cluster, 1, fn)
 
 
 class TestPolicy:
@@ -63,13 +93,25 @@ class TestRetrying:
         # Backoff time is simulated, deterministic: 1 + 2 + 4 ms.
         assert env.now == pytest.approx(7e-3)
 
-    def test_max_retries_exhausted_raises(self):
-        env = Engine()
-        c = {"calls": 0}
+    @pytest.mark.parametrize("op", ["attempt", "plfs-write", "makedirs",
+                                    "write_file"])
+    def test_max_retries_exhausted_raises(self, op):
+        """A permanent outage raises after exactly max_retries retries.
+
+        Through the volume, too: a PLFS write is one retried append (not
+        an append over retried writes), and a composite retries per leaf,
+        so no op is retried twice and the count is never a multiple.
+        """
         p = RetryPolicy(max_retries=2, base_delay=1e-3, jitter=0.0)
-        with pytest.raises(StorageUnavailable):
-            env.run_process(retrying(env, p, attempts(10, c)))
-        assert c["calls"] == 3  # initial + 2 retries
+        if op == "attempt":
+            env = Engine()
+            c = {"calls": 0}
+            with pytest.raises(StorageUnavailable):
+                env.run_process(retrying(env, p, attempts(10, c)))
+            assert c["calls"] == 3  # initial + 2 retries
+        else:
+            _through_volume(op, p)
+        assert p.retries == 2
 
     def test_deadline_bounds_total_wait(self):
         env = Engine()

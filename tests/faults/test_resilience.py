@@ -3,7 +3,9 @@
 These are the end-to-end guarantees the fault subsystem makes: retried
 I/O round-trips byte-identically through a fault window on both stacks,
 unreachable index logs degrade to :class:`PartialViewError` instead of a
-hang, and a no-fault plan leaves fault-free results bit-identical.
+hang, and a no-fault plan leaves fault-free results bit-identical.  The
+retry policy lives on the backing volumes (``Volume.retry``), so every
+layer above them retries without being told to.
 """
 
 import pytest
@@ -27,6 +29,13 @@ def _policy(plan, stream=0):
     return RetryPolicy(max_retries=12, base_delay=2e-3, multiplier=2.0,
                        max_delay=0.5, jitter=0.5, deadline=60.0,
                        rng=plan.rng("retry-jitter", stream))
+
+
+def _retry_on(world, policy):
+    """Give the client of every backing volume *policy*; returns it."""
+    for vol in world.volumes:
+        vol.retry = policy
+    return policy
 
 
 def _ckpt_roundtrip(world, stack, nprocs=4, per=40 * KB, rec=10 * KB):
@@ -84,9 +93,8 @@ class TestFaultedRoundTrip:
         world = make_world(pfs_cfg=PfsConfig(n_osds=1, stripe_width=1))
         plan = self.PLAN
         FaultInjector(world, plan).arm()
-        retry = _policy(plan)
-        stack = (plfs_stack if stack_name == "plfs" else direct_stack)(
-            world, retry=retry)
+        retry = _retry_on(world, _policy(plan))
+        stack = (plfs_stack if stack_name == "plfs" else direct_stack)(world)
         durations = _ckpt_roundtrip(world, stack)
         return durations, retry.retries
 
@@ -106,9 +114,17 @@ def _small_retry():
                        rng=FaultPlan((), seed=4).rng("retry-jitter"))
 
 
+def _patient_retry():
+    """Outlasts every fault window below (no jitter: exact replays)."""
+    return RetryPolicy(max_retries=12, base_delay=1e-3, max_delay=1e-2,
+                       jitter=0.0, deadline=60.0)
+
+
 def _read_degraded(world, retry):
+    _retry_on(world, retry)
+
     def reader(ctx):
-        yield from world.mount.open_read(ctx.client, "/f", None, retry=retry)
+        yield from world.mount.open_read(ctx.client, "/f", None)
 
     return run_job(world.env, world.cluster, 1, reader, client_id_base=9000)
 
@@ -150,6 +166,116 @@ class TestPartialView:
         subdirs = {layout.subdir_for_writer(n) for n in range(4)
                    if layout.subdir_volume(layout.subdir_for_writer(n)) is victim}
         assert set(exc.value.missing_subdirs) == subdirs
+
+
+class TestRetriedBelowPlfs:
+    """Ops the per-call plumbing once missed retry now that the volume does.
+
+    The first two scenarios raise a TransientIOError when only the call
+    sites that pass a policy down retry: the openhost mark's close was
+    never wrapped, and collective read-opens skipped retry during
+    aggregation.  The third pins what retrying a bulk read needs.
+    """
+
+    def _open_write(self, world):
+        def writer(ctx):
+            fh = yield from world.mount.open_write(ctx.client, "/f", None)
+            done = world.env.now
+            yield from fh.write(0, PatternData(1, 0, 5 * KB))
+            yield from world.mount.close_write(fh, None)
+            return done
+
+        return run_job(world.env, world.cluster, 1, writer).results[0]
+
+    def test_open_write_survives_mds_crash_over_openhost_close(self):
+        # A fault-free twin locates the openhost mark's close: it starts
+        # when the mark's create returns and ends when open_write does.
+        twin = make_world()
+        home = twin.volume
+        opened = []
+        raw_open = home.open
+
+        def open_and_stamp(client, path, *args, **kwargs):
+            fh = yield from raw_open(client, path, *args, **kwargs)
+            if "/openhosts/" in path:
+                opened.append(twin.env.now)
+            return fh
+
+        home.open = open_and_stamp
+        close_end = self._open_write(twin)
+        [close_start] = opened
+        assert close_start < close_end
+
+        world = make_world()
+        retry = _retry_on(world, _patient_retry())
+        mds = world.volume.mds
+
+        def chaos(env):
+            yield env.timeout((close_start + close_end) / 2)
+            mds.crash()
+            yield env.timeout(0.01)
+            mds.failover()
+
+        world.env.process(chaos(world.env), "chaos")
+        self._open_write(world)
+        assert retry.retries > 0
+
+        def reader(ctx):
+            fh = yield from world.mount.open_read(ctx.client, "/f", None)
+            view = yield from fh.read(0, 5 * KB)
+            yield from fh.close()
+            return view.content_equal(PatternData(1, 0, 5 * KB))
+
+        assert run_job(world.env, world.cluster, 1, reader,
+                       client_id_base=9000).results == [True]
+
+    def test_collective_parallel_read_survives_osd_outage(self):
+        world = make_world(aggregation="parallel")
+        TestPartialView()._write(world, nprocs=4)
+        retry = _retry_on(world, _patient_retry())
+        osds = world.volume.pool.osds
+
+        def outage(env):
+            for osd in osds:
+                osd.fail()
+            yield env.timeout(0.02)
+            for osd in osds:
+                osd.restore()
+
+        def reader(ctx):
+            fh = yield from world.mount.open_read(ctx.client, "/f", ctx.comm)
+            view = yield from fh.read(ctx.rank * 5 * KB, 5 * KB)
+            yield from fh.close()
+            return view.content_equal(PatternData(ctx.rank, 0, 5 * KB))
+
+        world.env.process(outage(world.env), "outage")
+        job = run_job(world.env, world.cluster, 4, reader, client_id_base=9000)
+        assert job.results == [True] * 4
+        assert retry.retries >= 4  # every rank's index-log batch was retried
+
+    def test_retried_bulk_read_does_not_join_its_own_failed_fetch(self):
+        """An MDS crash while a bulk read's open is on the wire fails the
+        attempt after it registered its in-flight fetch (read coalescing);
+        the retry must fetch afresh, not wait on that dead registration."""
+        world = make_world()
+        TestPartialView()._write(world, nprocs=4)
+        vol = world.volume
+        paths = [p for p, _ in vol.ns.walk("/f") if "/dropping.index." in p]
+        retry = _retry_on(world, _patient_retry())
+
+        def chaos(env):
+            yield env.timeout(vol.cfg.mds_latency / 2)
+            vol.mds.crash()
+            yield env.timeout(0.01)
+            vol.mds.failover()
+
+        def reader(ctx):
+            views = yield from vol.bulk_read_files(ctx.client, paths)
+            return len(views)
+
+        world.env.process(chaos(world.env), "chaos")
+        job = run_job(world.env, world.cluster, 1, reader, client_id_base=9000)
+        assert job.results == [len(paths)] and retry.retries > 0
 
 
 def _campaign(world, plan=None, injector=None, seed=0):

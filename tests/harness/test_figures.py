@@ -3,7 +3,14 @@
 A micro scale keeps each figure to seconds while still exercising every
 code path the real reproductions use (worlds, sweeps, both stacks,
 federation, Cielo preset, table assembly).
+
+They double as the behaviour contract: every table must equal
+``golden_micro.json`` bit-for-bit.  A deliberate model change regenerates
+that file in the same change and explains the drift.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +58,9 @@ EXPECTED_TABLES = {
 }
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden_micro.json").read_text())
+
+
 @pytest.mark.parametrize("name", sorted(set(FIGURES) - {"headline"}))
 def test_figure_runs_at_micro_scale(name):
     tables = FIGURES[name](MICRO)
@@ -63,3 +73,6 @@ def test_figure_runs_at_micro_scale(name):
     assert all(t.id in text for t in tables)
     blob = tables_to_json(tables)
     assert set(blob) == EXPECTED_TABLES[name]
+    for table_id, table in blob.items():
+        assert json.loads(json.dumps(table, default=str)) == GOLDEN[table_id], \
+            f"{table_id} drifted from golden_micro.json"
