@@ -1,30 +1,20 @@
-"""Cost guards for the collective-matching analyzer and trace validator.
+"""Cost guards for the collective-trace validator.
 
-Two contracts keep the new tooling affordable:
+**Tracer-off harness overhead stays under 2 %**: every communicator
+construction checks ``env.collective_tracer`` and every collective
+checks ``self._shared.tracer``; with no tracer attached those checks
+must be all the instrumentation costs.
 
-* **the full-tree collectives lint stays under 30 s** — it runs in CI on
-  every push, so its wall time bounds the feedback loop;
-* **tracer-off harness overhead stays under 2 %** — every communicator
-  construction checks ``env.collective_tracer`` and every collective
-  checks ``self._shared.tracer``; with no tracer attached those checks
-  must be all the instrumentation costs.
-
-A third, informational benchmark times the tracer *on*, so the price of
+An informational benchmark times the tracer *on*, so the price of
 ``--validate-collectives`` stays visible in the benchmark trend line.
 """
 
 import time
-from pathlib import Path
 
-from repro.analysis.collectives import analyze_paths
-from repro.analysis.config import load_config
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.mpi import run_job
 from repro.mpi.trace import attach_tracer
 from repro.sim import Engine
-
-REPO = Path(__file__).resolve().parents[1]
-SRC = REPO / "src"
 
 _ROUNDS = 40
 
@@ -46,20 +36,6 @@ def _job(tracer=False):
         return None
 
     run_job(env, cluster, 16, fn)
-
-
-# -- the <30 s full-tree lint guard ------------------------------------------
-
-def test_full_tree_collectives_lint_under_30s():
-    """CI gates on ``python -m repro.analysis collectives src/``; the
-    interprocedural pass (CFG + path enumeration + call-graph summaries
-    over the whole tree) must stay interactive."""
-    config = load_config(REPO / "pyproject.toml")
-    t0 = time.perf_counter()
-    findings = analyze_paths([str(SRC)], config)
-    dt = time.perf_counter() - t0
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert dt < 30.0, f"full-tree collectives lint took {dt:.1f}s (>30s)"
 
 
 # -- the <2% tracer-off harness overhead guard -------------------------------

@@ -3,14 +3,14 @@
 The reproduction's headline guarantee is that every figure table is
 bit-identical across runs, seeds, ``--jobs`` counts, and fault plans.
 This package turns that contract from a hand-audited convention into an
-enforced invariant, with two engines:
+enforced invariant, with three engines:
 
 * a **determinism linter** (:mod:`repro.analysis.linter`) — an AST pass
   over the source tree that flags the constructs that historically break
   simulated determinism: wall-clock reads, unseeded global RNGs, salted
   ``hash()``, unordered-container iteration feeding results or event
   schedules, mutable default arguments, and order-sensitive float
-  reductions.  Rules are identified as ``REP001``..``REP006``
+  reductions.  Rules are identified as ``REP001``..``REP007``
   (:mod:`repro.analysis.rules`), suppressible per line with
   ``# repro: noqa[REPnnn]`` and per file via ``[tool.repro.analysis]``
   in ``pyproject.toml``.
@@ -34,6 +34,11 @@ enforced invariant, with two engines:
   invariant oracles (:mod:`repro.analysis.oracles`) at every quiescent
   point.  Violating schedules are delta-minimized
   (:mod:`repro.analysis.minimize`) into replayable traces.
+
+Collective congruence (every rank of a communicator issuing the same
+collectives with the same roots, every message received) is not a
+static rule here: it is checked at runtime by the collective-trace
+validator, :mod:`repro.mpi.trace` (``--validate-collectives``).
 
 Command line::
 

@@ -1,4 +1,4 @@
-"""Analysis CLI: determinism linter, collective analyzer, model checker.
+"""Analysis CLI: determinism linter and model checker.
 
 Usage::
 
@@ -7,17 +7,16 @@ Usage::
     python -m repro.analysis lint src/ --format sarif -o out.sarif
     python -m repro.analysis lint src/ --show-suppressed   # noqa audit
     python -m repro.analysis lint a.py --select REP004,REP006
-    python -m repro.analysis collectives src/       # REP101..REP104
     python -m repro.analysis rules                  # rule table
     python -m repro.analysis check --workload smallio --budget 200
 
 Exit status: 0 when no findings/violations, 1 when any, 2 on usage
 error.  ``--format sarif`` emits a SARIF 2.1.0 document shared by every
-rule (REP001..REP104) so CI annotates PRs inline from one artifact.
+rule (REP001..REP007) so CI annotates PRs inline from one artifact.
 The sanitizer has no subcommand here — it is a *runtime* check, enabled
 per experiment run with ``python -m repro.harness <figure> --sanitize``
-(and implicitly by ``check``); the collective-trace validator likewise
-runs with ``--validate-collectives``.
+(and implicitly by ``check``); the collective-congruence gate likewise
+is the runtime trace validator, run with ``--validate-collectives``.
 """
 
 from __future__ import annotations
@@ -105,18 +104,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return _report(findings, args)
 
 
-def _cmd_collectives(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
-    if config is None:
-        return 2
-    if args.show_suppressed:
-        return _show_suppressed(args.paths, config)
-    from .collectives import analyze_paths
-
-    findings = analyze_paths(args.paths, config)
-    return _report(findings, args)
-
-
 def _cmd_rules(_args: argparse.Namespace) -> int:
     for rule in RULES.values():  # repro: noqa[REP004] -- registry is a
         # literal table; printed in definition order by design.
@@ -145,25 +132,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _add_common_lint_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("paths", nargs="+", help="files or directories")
-    p.add_argument("--select", default="",
-                   help="comma-separated rule IDs to run (default: all)")
-    p.add_argument("--config", default="",
-                   help="explicit pyproject.toml (default: nearest)")
-    p.add_argument("--no-config", action="store_true",
-                   help="ignore [tool.repro.analysis] settings")
-    p.add_argument("--json", action="store_true",
-                   help="emit findings as JSON (same as --format json)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="output format (default text)")
-    p.add_argument("-o", "--output", default="",
-                   help="write the report to a file instead of stdout")
-    p.add_argument("--show-suppressed", action="store_true",
-                   help="audit: list every noqa suppression with its "
-                        "justification instead of linting")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -171,15 +139,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint = sub.add_parser("lint", help="run the determinism linter")
-    _add_common_lint_args(lint)
+    lint.add_argument("paths", nargs="+", help="files or directories")
+    lint.add_argument("--select", default="",
+                      help="comma-separated rule IDs to run (default: all)")
+    lint.add_argument("--config", default="",
+                      help="explicit pyproject.toml (default: nearest)")
+    lint.add_argument("--no-config", action="store_true",
+                      help="ignore [tool.repro.analysis] settings")
+    lint.add_argument("--json", action="store_true",
+                      help="emit findings as JSON (same as --format json)")
+    lint.add_argument("--format", choices=("text", "json", "sarif"),
+                      default="text", help="output format (default text)")
+    lint.add_argument("-o", "--output", default="",
+                      help="write the report to a file instead of stdout")
+    lint.add_argument("--show-suppressed", action="store_true",
+                      help="audit: list every noqa suppression with its "
+                           "justification instead of linting")
     lint.set_defaults(fn=_cmd_lint)
-
-    coll = sub.add_parser(
-        "collectives",
-        help="interprocedural collective-matching analysis "
-             "(REP101..REP104)")
-    _add_common_lint_args(coll)
-    coll.set_defaults(fn=_cmd_collectives)
 
     rules = sub.add_parser("rules", help="print the rule table")
     rules.set_defaults(fn=_cmd_rules)

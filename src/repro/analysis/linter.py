@@ -16,7 +16,7 @@ Suppression forms, narrowest first:
 
 * ``# repro: noqa[REP004]`` on the flagged line (several IDs comma-
   separated; a trailing ``-- reason`` is encouraged and audited);
-* ``# noqa: REP003,REP101`` — the flake8-style spelling, same
+* ``# noqa: REP003,REP004`` — the flake8-style spelling, same
   semantics, so editors and other tools recognize the suppression;
 * ``# repro: noqa`` / ``# noqa`` on the flagged line silences every
   rule there;
@@ -134,7 +134,7 @@ _ORDER_INSENSITIVE = frozenset({
 _UNORDERED_METHODS = frozenset({"values", "keys", "items"})
 
 # Both spellings: `repro: noqa[REP004]` (bracketed, project-native)
-# and `noqa: REP003,REP101` (flake8-style colon list).  A bare
+# and `noqa: REP003,REP004` (flake8-style colon list).  A bare
 # `noqa` / `repro: noqa` suppresses every rule on the line.
 _NOQA_RE = re.compile(
     r"#\s*(?:repro:\s*)?noqa"

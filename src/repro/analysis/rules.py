@@ -89,50 +89,6 @@ RULES: Dict[str, Rule] = {
             "yield; a # repro: noqa[REP007] with a reason documents a "
             "site proven atomic by other means.",
         ),
-        Rule(
-            "REP101",
-            "collective under a rank-dependent branch, arms not congruent",
-            "A collective reached only when a rank-dependent predicate "
-            "holds (if comm.rank == 0: comm.bcast(...)) is issued by "
-            "some ranks and skipped by others of the same communicator. "
-            "In real MPI the skipped ranks hang the job; in this "
-            "simulator the per-communicator tag counter desynchronizes "
-            "and later collectives silently cross-match each other's "
-            "messages.  Hoist the collective out of the branch, make "
-            "both arms issue a congruent sequence, or split() a sub-"
-            "communicator so each color group is internally uniform.",
-        ),
-        Rule(
-            "REP102",
-            "rank-dependent root= argument of a collective",
-            "Every rank of a communicator must name the same root in "
-            "the same collective: a root derived from comm.rank makes "
-            "ranks address different binomial trees at once.  Roots "
-            "must be provably uniform — a constant, a caller-supplied "
-            "parameter, or a value previously bcast/allreduced (whose "
-            "results the taint analysis treats as uniform).",
-        ),
-        Rule(
-            "REP103",
-            "unmatched or cyclically-waiting send/recv pairing",
-            "A recv whose (peer, tag) class no send ever posts waits "
-            "forever; a symmetric blocking recv-before-send on a ring "
-            "(recv from rank-1, then send to rank+1) waits on its "
-            "neighbor who is waiting on theirs.  Tag classes are "
-            "matched tree-wide, so the two-phase I/O tags in "
-            "mpiio/file.py pair across functions.",
-        ),
-        Rule(
-            "REP104",
-            "collective inside a loop with a rank-dependent trip count",
-            "A collective issued once per iteration of `for x in "
-            "mine(rank)` runs a different number of times on each "
-            "rank: after the shortest rank exits, the others' next "
-            "collective pairs with garbage.  Loop bounds around "
-            "collectives must be rank-uniform; annotate bounds that "
-            "are uniform by construction with a justified noqa and a "
-            "runtime-validated trace (--validate-collectives).",
-        ),
     )
 }
 

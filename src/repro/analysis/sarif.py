@@ -1,8 +1,7 @@
-"""SARIF 2.1.0 output for every analysis rule (REP001..REP104).
+"""SARIF 2.1.0 output for every analysis rule (REP001..REP007).
 
-One reporter for the determinism linter and the collective analyzer, so
-CI uploads a single artifact and annotates PRs inline regardless of
-which pass produced a finding.  :func:`to_sarif` builds the document;
+One reporter for the determinism linter, so CI uploads a single
+artifact and annotates PRs inline.  :func:`to_sarif` builds the document;
 :func:`validate_sarif` structurally checks it against the parts of the
 2.1.0 schema we emit (CI asserts this before upload, and the tests
 assert it on every shape of result set).

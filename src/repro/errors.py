@@ -141,8 +141,8 @@ class CollectiveMismatchError(MPIError):
 
     Raised at job drain by the collective-trace validator
     (``--validate-collectives``): some rank issued a different
-    collective, a different root, or skipped one the others issued —
-    the runtime confirmation of a static REP101/REP102/REP104 finding.
+    collective, a different root, or skipped one the others issued, or
+    a point-to-point message was left undelivered in a mailbox.
     """
 
 

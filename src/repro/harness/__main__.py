@@ -87,9 +87,9 @@ def main(argv=None) -> int:
     parser.add_argument("--validate-collectives", action="store_true",
                         help="record every rank's collective trace and "
                              "assert per-communicator congruence at job "
-                             "drain (CollectiveMismatchError on "
-                             "divergence); the runtime cross-check for "
-                             "REP101..REP104 findings")
+                             "drain, and that no message is left "
+                             "undelivered (CollectiveMismatchError on "
+                             "either)")
     args = parser.parse_args(argv)
     if args.replay_schedule:
         if args.figures:

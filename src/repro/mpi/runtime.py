@@ -116,23 +116,28 @@ def run_job(env: Engine, cluster: Cluster, nprocs: int,
             + blocked_report(stuck[:8])
             + ("\n  ..." if len(stuck) > 8 else ""))
         if tracer is not None:
-            # A rank-divergent collective usually *causes* the hang; the
-            # trace comparison names the exact divergence, which is far
-            # more actionable than the generic stuck report.
+            # A rank-divergent collective or a message sent to the wrong
+            # (rank, tag) usually *causes* the hang; the trace comparison
+            # and the mailbox check name the exact divergence, which is
+            # far more actionable than the generic stuck report.
             from ..errors import CollectiveMismatchError
-            from .trace import validate_comm
+            from .trace import pending_recvs, validate_comm
 
             trace_errors = validate_comm(tracer, shared)
             if trace_errors:
                 raise CollectiveMismatchError(
-                    report + "\n  non-congruent collective traces:\n  "
-                    + "\n  ".join(trace_errors))
+                    report + "\n  non-congruent collective traces or "
+                    "undelivered messages:\n  " + "\n  ".join(trace_errors))
+            waiting = pending_recvs(shared)
+            if waiting:
+                report += "\n  waiting receives:\n  " + "\n  ".join(waiting)
         raise DeadlockError(report)
     if tracer is not None:
         # Quiescent-drain congruence check (--validate-collectives):
         # every rank of this job's communicator — and of every split
         # sub-communicator — must have issued the same collective
-        # sequence with the same roots.  Strict tracers (harness runs)
+        # sequence with the same roots, and every message sent must have
+        # been received.  Strict tracers (harness runs)
         # raise CollectiveMismatchError; non-strict ones (the model
         # checker) leave the errors for the oracle pass to collect.
         from .trace import check_at_drain

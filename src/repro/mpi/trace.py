@@ -1,15 +1,16 @@
 """Runtime collective-trace recording and congruence validation.
 
-The static analyzer (:mod:`repro.analysis.collectives`) proves rank
-congruence where it can and is conservative where it cannot — unresolved
-calls, opaque summaries, justified ``noqa`` sites.  This module is the
-runtime half of the contract: with a :class:`CollectiveTracer` attached
-to the engine (``--validate-collectives`` in the harness), every
-top-level collective a rank issues is recorded as ``(op, root)`` against
-its communicator, and :func:`validate_comm` asserts at job drain that
-every rank of every communicator issued the *same* sequence with the
-*same* roots.  A static finding is confirmed by a non-congruent trace
-and dismissed by a congruent one — each with a replayable run.
+The collectives behind transformative I/O (Index Flatten's close-time
+gather, Parallel Index Read's two-level leader split) are only correct
+when every rank of a communicator issues the same collectives with the
+same roots.  This module is the one gate for that SPMD contract: with a
+:class:`CollectiveTracer` attached to the engine
+(``--validate-collectives`` in the harness), every top-level collective
+a rank issues is recorded as ``(op, root)`` against its communicator,
+and :func:`validate_comm` asserts at job drain that every rank of every
+communicator issued the *same* sequence with the *same* roots, and that
+no point-to-point message was left undelivered in a mailbox (a send no
+rank ever received completes silently otherwise).
 
 Recording is per-communicator, keyed by object identity, so the
 sub-communicators of ``split`` validate independently (each color group
@@ -17,9 +18,8 @@ must be internally congruent; the groups legitimately differ from each
 other).  Composite collectives (``barrier``, ``allgather``,
 ``allreduce``, ``split``) record once — their nested ``gather``/
 ``bcast`` building blocks are suppressed by a per-rank depth counter —
-so the trace matches the caller's source, which is what the analyzer
-models.  ``split`` records root ``None``: its color argument varies by
-rank by design.
+so the trace matches the caller's source.  ``split`` records root
+``None``: its color argument varies by rank by design.
 
 The tracer is off by default and costs one attribute check per
 collective call when detached (benchmarks/bench_analysis.py guards the
@@ -29,13 +29,13 @@ overhead at <2%).
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CollectiveMismatchError
 
 __all__ = [
-    "CollectiveTracer", "attach_tracer", "validate_collectives_enabled",
-    "validate_comm", "validate_tracer",
+    "CollectiveTracer", "attach_tracer", "pending_recvs",
+    "validate_collectives_enabled", "validate_comm", "validate_tracer",
 ]
 
 _ENV_FLAG = "REPRO_VALIDATE_COLLECTIVES"
@@ -120,27 +120,46 @@ def _mismatch_of(shared: Any,
     return None
 
 
-def validate_comm(tracer: CollectiveTracer, shared: Any) -> List[str]:
-    """Congruence errors for *shared* and (recursively) its splits."""
-    errors: List[str] = []
+def _family(shared: Any) -> Iterator[Any]:
+    """*shared* and, recursively, its split sub-communicators."""
+    yield shared
+    splits = getattr(shared, "_splits", None) or {}
+    for key in sorted(splits, key=repr):
+        yield from _family(splits[key])
+
+
+def _mailbox_lines(shared: Any, what: str,
+                   count: Callable[[Any], int]) -> List[str]:
+    """One line per mailbox of *shared* where ``count(box)`` is nonzero."""
+    return [f"communicator {shared.name!r}: {n} {what} in mailbox "
+            f"(dst={dst}, src={src}, tag={tag!r})"
+            for (dst, src, tag), box in shared._mail.items()  # repro: noqa[REP004] -- insertion order is event order
+            if (n := count(box))]
+
+
+def _errors_of(tracer: CollectiveTracer, shared: Any) -> List[str]:
     msg = _mismatch_of(shared, tracer.trace_of(shared))
-    if msg is not None:
-        errors.append(msg)
-    splits = getattr(shared, "_splits", None)
-    if splits:
-        for key in sorted(splits, key=repr):
-            errors.extend(validate_comm(tracer, splits[key]))
-    return errors
+    return (([msg] if msg is not None else [])
+            + _mailbox_lines(shared, "undelivered message(s)", len))
+
+
+def validate_comm(tracer: CollectiveTracer, shared: Any) -> List[str]:
+    """Congruence and undelivered-message errors for *shared* and
+    (recursively) its splits."""
+    return [e for comm in _family(shared) for e in _errors_of(tracer, comm)]
 
 
 def validate_tracer(tracer: CollectiveTracer) -> List[str]:
-    """Congruence errors across every communicator the tracer saw."""
-    errors: List[str] = []
-    for shared in tracer.comms():
-        msg = _mismatch_of(shared, tracer.trace_of(shared))
-        if msg is not None:
-            errors.append(msg)
-    return errors
+    """The same errors across every communicator the tracer saw."""
+    return [e for comm in tracer.comms() for e in _errors_of(tracer, comm)]
+
+
+def pending_recvs(shared: Any) -> List[str]:
+    """Receives still waiting on *shared* or its splits: what a
+    deadlocked job's ranks are blocked on, by ``(dst, src, tag)``."""
+    return [line for comm in _family(shared)
+            for line in _mailbox_lines(comm, "waiting recv(s)",
+                                       lambda box: len(box._getters))]
 
 
 def attach_tracer(env: Any, strict: bool = True) -> CollectiveTracer:
@@ -166,6 +185,7 @@ def check_at_drain(tracer: CollectiveTracer, shared: Any,
     errors = validate_comm(tracer, shared)
     if errors and tracer.strict:
         raise CollectiveMismatchError(
-            f"job {job_name!r}: non-congruent collective traces "
-            f"({len(errors)} communicator(s)):\n  " + "\n  ".join(errors))
+            f"job {job_name!r}: non-congruent collective traces or "
+            f"undelivered messages ({len(errors)} error(s)):\n  "
+            + "\n  ".join(errors))
     return errors

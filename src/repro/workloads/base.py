@@ -173,9 +173,9 @@ def _writer_fn(workload: Workload, stack: IOStack):
             if workload.collective_write:
                 # Workload contract: write_rounds(rank) varies offsets
                 # per rank but yields the same *round count* on every
-                # rank (tests/mpi/test_collectives_edges.py validates a
-                # run under --validate-collectives).
-                yield from f.write_at_all(pieces)  # noqa: REP104 -- round count is rank-uniform by the Workload contract; trace-validated
+                # rank (every figure runs under --validate-collectives
+                # in tests/harness/test_figures.py).
+                yield from f.write_at_all(pieces)
             else:
                 for off, spec in pieces:
                     yield from f.write_at(off, spec)
@@ -202,7 +202,7 @@ def _reader_fn(workload: Workload, stack: IOStack, verify: bool):
             if workload.collective_read:
                 # Same contract as the write side: per-rank offsets,
                 # rank-uniform round count.
-                views = yield from f.read_at_all(list(rnd))  # noqa: REP104 -- round count is rank-uniform by the Workload contract; trace-validated
+                views = yield from f.read_at_all(list(rnd))
             else:
                 views = []
                 for off, ln in rnd:

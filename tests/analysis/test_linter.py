@@ -268,7 +268,6 @@ def test_findings_render_path_line_rule():
 
 
 def test_every_rule_has_metadata():
-    assert set(RULES) == {f"REP00{i}" for i in range(1, 8)} \
-        | {f"REP10{i}" for i in range(1, 5)}
+    assert set(RULES) == {f"REP00{i}" for i in range(1, 8)}
     for rule in RULES.values():
         assert rule.summary and rule.rationale

@@ -17,8 +17,8 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
 FINDINGS = [
-    Finding(rule="REP101", path="pkg/mod.py", line=4, col=0,
-            message="collective under a rank-dependent branch"),
+    Finding(rule="REP004", path="pkg/mod.py", line=4, col=0,
+            message="iteration over an unordered container"),
     Finding(rule="REP001", path="pkg/other.py", line=2, col=4,
             message="wall clock in simulation code"),
 ]
@@ -37,7 +37,7 @@ def test_rule_catalogue_covers_every_rule():
     doc = to_sarif([])
     listed = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
     assert set(listed) >= set(RULES)
-    assert "REP101" in listed and "REP104" in listed
+    assert set(listed) >= {f"REP00{i}" for i in range(1, 8)}
 
 
 def test_rule_index_is_consistent():
@@ -95,32 +95,34 @@ def _cli(*argv, cwd=REPO):
 def test_cli_sarif_output_validates(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(textwrap.dedent('''
-        def leader(comm):
-            if comm.rank == 0:
-                yield from comm.bcast("h", root=0)
-            vals = yield from comm.gather(comm.rank, root=0)
-            return vals
+        def tally(items, seen=[]):
+            for v in {1, 2}:
+                seen.append(v)
+            return seen
     '''))
     out = tmp_path / "out.sarif"
-    proc = _cli("collectives", "--no-config", "--format", "sarif",
+    proc = _cli("lint", "--no-config", "--format", "sarif",
                 "-o", str(out), str(bad))
     assert proc.returncode == 1  # findings present
     doc = json.loads(out.read_text())
     assert validate_sarif(doc) == []
-    assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["REP101"]
+    assert [r["ruleId"] for r in doc["runs"][0]["results"]] \
+        == ["REP005", "REP004"]
 
 
 def test_cli_sarif_shared_across_rule_families(tmp_path):
-    # One artifact covers both the determinism rules (REP0xx) and the
-    # collective rules (REP1xx): same tool name, same rule catalogue.
+    # One artifact covers the AST rules (REP001..REP006) and the
+    # yield-atomicity rule (REP007) even when --select runs one of
+    # them: same tool name, full rule catalogue.
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    proc = _cli("lint", "--no-config", "--format", "sarif", str(bad))
+    proc = _cli("lint", "--no-config", "--select", "REP001",
+                "--format", "sarif", str(bad))
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert validate_sarif(doc) == []
     ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-    assert "REP001" in ids and "REP101" in ids
+    assert ids == [f"REP00{i}" for i in range(1, 8)]
 
 
 def test_cli_show_suppressed_audits_justifications(tmp_path):

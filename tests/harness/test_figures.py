@@ -7,6 +7,12 @@ federation, Cielo preset, table assembly).
 They double as the behaviour contract: every table must equal
 ``golden_micro.json`` bit-for-bit.  A deliberate model change regenerates
 that file in the same change and explains the drift.
+
+They are also the collective-congruence gate: every figure runs under
+the runtime trace validator (``REPRO_VALIDATE_COLLECTIVES=1``, the
+harness's ``--validate-collectives``), so each job's ranks must issue
+the same collectives with the same roots and leave no message
+undelivered, or the job raises at drain.
 """
 
 import json
@@ -62,7 +68,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_micro.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(set(FIGURES) - {"headline"}))
-def test_figure_runs_at_micro_scale(name):
+def test_figure_runs_at_micro_scale(name, monkeypatch):
+    monkeypatch.setenv("REPRO_VALIDATE_COLLECTIVES", "1")
     tables = FIGURES[name](MICRO)
     assert {t.id for t in tables} == EXPECTED_TABLES[name]
     for t in tables:

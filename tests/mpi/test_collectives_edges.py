@@ -1,10 +1,12 @@
-"""Edge cases of the collective implementations the REP1xx analyzer (and
-its runtime trace validator) reason about: split sub-communicators,
-nonzero-root vrank rotation, and zero-byte payloads."""
+"""Edge cases of the collective implementations and of the runtime trace
+validator that gates their SPMD congruence: split sub-communicators,
+nonzero-root vrank rotation, zero-byte payloads, and the divergent and
+congruent job shapes the validator must tell apart."""
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
+from repro.errors import CollectiveMismatchError, DeadlockError
 from repro.mpi import run_job
 from repro.mpi.trace import attach_tracer, validate_tracer
 from repro.sim import Engine
@@ -162,7 +164,7 @@ class TestTracerGranularity:
     def test_composites_record_once(self):
         # barrier/allgather/allreduce are built from gather+bcast
         # internally; the trace must show the *caller-level* collective
-        # only, matching the static analyzer's event model.
+        # only, matching what the calling code wrote.
         def fn(ctx):
             yield from ctx.comm.barrier()
             yield from ctx.comm.allgather(ctx.rank, nbytes=8)
@@ -175,3 +177,244 @@ class TestTracerGranularity:
         assert all(seq == [("barrier", None), ("allgather", None),
                            ("allreduce", None)]
                    for seq in by_rank.values())
+
+
+# -- the congruence gate: divergent shapes raise, congruent ones pass --------
+
+def _leader_only_bcast(ctx):
+    c = ctx.comm
+    if c.rank == 0:
+        yield from c.bcast("hdr", root=0)
+    vals = yield from c.gather(c.rank, root=0)
+    return vals
+
+
+def _bcast_helper(comm, data):
+    yield from comm.bcast(data, root=0)
+
+
+def _bcast_in_helper(ctx):
+    c = ctx.comm
+    if c.rank == 0:
+        yield from _bcast_helper(c, "x")
+    yield from c.barrier()
+
+
+def _rank_root(ctx):
+    c = ctx.comm
+    yield from c.bcast("x", root=c.rank)
+
+
+def _bcast_from(comm, root):
+    yield from comm.bcast("x", root=root)
+
+
+def _root_through_call(ctx):
+    yield from _bcast_from(ctx.comm, ctx.comm.rank)
+
+
+def _rank_bound_loop(ctx):
+    c = ctx.comm
+    for _ in range(c.rank):
+        yield from c.barrier()
+
+
+def _unsatisfiable_recv(ctx):
+    msg = yield from ctx.comm.recv(0, tag=("never", 1))
+    return msg
+
+
+def _unconsumed_send(ctx):
+    c = ctx.comm
+    yield from c.send((c.rank + 1) % c.size, "x", nbytes=1, tag=("odd", 7))
+
+
+# shape -> (rank function, error raised, fragments its message must name)
+DIVERGENT = {
+    "leader-only-bcast": (_leader_only_bcast, CollectiveMismatchError, [
+        "1 of 4 ranks never finished",
+        "diverge at collective #0: rank 0: bcast(root=0); "
+        "rank 1: gather(root=0); rank 2: gather(root=0); "
+        "rank 3: gather(root=0)"]),
+    "bcast-in-helper": (_bcast_in_helper, CollectiveMismatchError, [
+        "diverge at collective #0", "rank 0: bcast(root=0)",
+        "rank 1: barrier(root=None)"]),
+    "rank-root": (_rank_root, CollectiveMismatchError, [
+        "diverge at collective #0", "rank 0: bcast(root=0)",
+        "rank 3: bcast(root=3)"]),
+    "root-through-call": (_root_through_call, CollectiveMismatchError, [
+        "diverge at collective #0", "rank 1: bcast(root=1)"]),
+    "rank-bound-loop": (_rank_bound_loop, CollectiveMismatchError, [
+        "diverge at collective #0", "rank 0: (nothing)",
+        "rank 1: barrier(root=None)"]),
+    "unsatisfiable-recv": (_unsatisfiable_recv, DeadlockError, [
+        "4 of 4 ranks never finished", "waiting receives",
+        "communicator 'bad': 1 waiting recv(s) in mailbox "
+        "(dst=3, src=0, tag=('never', 1))"]),
+    "unconsumed-send": (_unconsumed_send, CollectiveMismatchError, [
+        "communicator 'bad': 1 undelivered message(s) in mailbox "
+        "(dst=0, src=3, tag=('odd', 7))"]),
+}
+
+
+def _both_arm_bcast(ctx):
+    # The adio.py open idiom: both arms issue the same collective.
+    c = ctx.comm
+    if c.rank == 0:
+        meta = yield from c.bcast("meta", root=0)
+    else:
+        meta = yield from c.bcast(None, root=0)
+    return meta
+
+
+def _uniform_early_return(ctx, items=("a",)):
+    # A rank-uniform guard splits *runs*, not ranks of one run.
+    if not items:
+        return None
+    data = yield from ctx.comm.bcast(list(items), root=0)
+    return data
+
+
+def _two_level_split(ctx):
+    # A rank-dependent split color partitions the comm: each color group
+    # is internally congruent even though the groups differ.
+    color = ctx.rank % 2
+    sub = yield from ctx.comm.split(color)
+    if color == 0:
+        parts = yield from sub.gather(1, root=0)
+    else:
+        parts = yield from sub.allgather(2)
+    yield from ctx.comm.barrier()
+    return parts
+
+
+def _allreduced_root(ctx):
+    # allreduce returns the same value on every rank: a uniform root.
+    c = ctx.comm
+    leader = yield from c.allreduce(c.rank, op=max)
+    data = yield from c.bcast("x" if c.rank == leader else None,
+                              root=leader)
+    return data
+
+
+def _matched_pair(ctx):
+    c = ctx.comm
+    if c.rank == 0:
+        yield from c.send(1, "x", nbytes=1, tag=("pair", 1))
+    elif c.rank == 1:
+        msg = yield from c.recv(0, tag=("pair", 1))
+        return msg
+    return None
+
+
+def _produce(comm):
+    yield from comm.send(1, "x", nbytes=1, tag=("xfn", 3))
+
+
+def _consume(comm):
+    msg = yield from comm.recv(0, tag=("xfn", 3))
+    return msg
+
+
+def _cross_function_pair(ctx):
+    # Sender and receiver in different functions.
+    if ctx.rank == 0:
+        yield from _produce(ctx.comm)
+    elif ctx.rank == 1:
+        msg = yield from _consume(ctx.comm)
+        return msg
+    return None
+
+
+def _uniform_bound_loop(ctx, n=3):
+    for _ in range(n):
+        yield from ctx.comm.barrier()
+
+
+def _barrier_bcast_gather(ctx):
+    c = ctx.comm
+    yield from c.barrier()
+    data = yield from c.bcast("x", root=0)
+    yield from c.gather(data, root=0)
+    return data
+
+
+CONGRUENT = {
+    "collective-sequence": (_barrier_bcast_gather, ["x"] * 4),
+    "both-arm-bcast": (_both_arm_bcast, ["meta"] * 4),
+    "uniform-early-exit": (_uniform_early_return, [["a"]] * 4),
+    "two-level-split": (_two_level_split, [[1, 1], [2, 2], None, [2, 2]]),
+    "allreduced-root": (_allreduced_root, ["x"] * 4),
+    "matched-pair": (_matched_pair, [None, "x", None, None]),
+    "cross-function-pair": (_cross_function_pair, [None, "x", None, None]),
+    "uniform-bound-loop": (_uniform_bound_loop, [None] * 4),
+}
+
+
+def _world(n_nodes=4, cores=4):
+    env = Engine()
+    cluster = Cluster(env, ClusterSpec(name="t", n_nodes=n_nodes,
+                                       node=NodeSpec(cores=cores)))
+    return env, cluster
+
+
+class TestRuntimeConfirmation:
+    @pytest.mark.parametrize("shape", sorted(DIVERGENT))
+    def test_divergent_raises(self, shape):
+        fn, error, fragments = DIVERGENT[shape]
+        env, cluster = _world()
+        attach_tracer(env, strict=True)
+        with pytest.raises(error) as err:
+            run_job(env, cluster, 4, fn, name="bad")
+        msg = str(err.value)
+        for fragment in fragments:
+            assert fragment in msg
+
+    def test_divergent_fixture_reports_non_congruent_traces(self):
+        # A collective only the leader issues produces a
+        # CollectiveMismatchError naming the per-rank divergence.
+        def fn(ctx):
+            c = ctx.comm
+            if c.rank == 0:
+                yield from c.bcast("hdr", root=0)
+            vals = yield from c.gather(c.rank, root=0)
+            return vals
+
+        env, cluster = _world()
+        attach_tracer(env, strict=True)
+        with pytest.raises(CollectiveMismatchError) as err:
+            run_job(env, cluster, 4, fn, name="bad")
+        msg = str(err.value)
+        assert "diverge at collective #0" in msg
+        assert "rank 0: bcast(root=0)" in msg
+        assert "rank 1: gather(root=0)" in msg
+
+    @pytest.mark.parametrize("shape", sorted(CONGRUENT))
+    def test_congruent_passes(self, shape):
+        fn, expected = CONGRUENT[shape]
+        env, cluster = _world()
+        tracer = attach_tracer(env, strict=True)
+        result = run_job(env, cluster, 4, fn, name="ok")
+        assert result.results == expected
+        assert validate_tracer(tracer) == []
+
+    def test_non_strict_tracer_collects_instead_of_raising(self):
+        # The model checker's mode: violations become oracle findings.
+        env, cluster = _world()
+        tracer = attach_tracer(env, strict=False)
+        # The divergence also desynchronizes tags, so the job hangs; a
+        # strict=False tracer still upgrades the error to the mismatch.
+        with pytest.raises((CollectiveMismatchError, DeadlockError)):
+            run_job(env, cluster, 4, _leader_only_bcast, name="bad")
+        errors = validate_tracer(tracer)
+        assert errors and "diverge" in errors[0]
+
+    def test_non_strict_tracer_returns_undelivered_messages(self):
+        # A job that completes with a message nobody received: strict
+        # tracers raise (above), non-strict ones report it.
+        env, cluster = _world()
+        tracer = attach_tracer(env, strict=False)
+        run_job(env, cluster, 4, _unconsumed_send, name="bad")
+        errors = validate_tracer(tracer)
+        assert len(errors) == 4
+        assert all("undelivered message(s)" in e for e in errors)

@@ -6,7 +6,7 @@ from repro.errors import UnsupportedOperation
 from repro.mpi import run_job
 from repro.mpiio import Hints, MPIFile, PlfsDriver, UfsDriver
 from repro.pfs.data import PatternData
-from tests.conftest import make_world
+from tests.conftest import make_world, traced_world
 
 KB = 1000
 
@@ -68,7 +68,7 @@ class TestDrivers:
         return (lambda: PlfsDriver(w.mount)) if use_plfs else (lambda: UfsDriver(w.volume))
 
     def test_independent_roundtrip(self, use_plfs):
-        w = make_world()
+        w = traced_world()
         fac = self.factory(w, use_plfs)
         res = run_job(w.env, w.cluster, self.nprocs,
                       strided_writer(fac, "/f", self.per_proc, self.rec))
@@ -80,8 +80,23 @@ class TestDrivers:
                        client_id_base=1000)
         assert all(rres.results)
 
+    def test_collective_roundtrip_without_cb(self, use_plfs):
+        # write_at_all/read_at_all with collective buffering off: each
+        # rank does its own I/O and the call only synchronizes.
+        w = traced_world()
+        fac = self.factory(w, use_plfs)
+        res = run_job(w.env, w.cluster, self.nprocs,
+                      strided_writer(fac, "/f", self.per_proc, self.rec,
+                                     collective=True))
+        assert max(res.results) == self.nprocs * self.per_proc
+        rres = run_job(w.env, w.cluster, self.nprocs,
+                       strided_reader(fac, "/f", self.per_proc, self.rec,
+                                      collective=True, shift=3),
+                       client_id_base=1000)
+        assert all(rres.results)
+
     def test_collective_roundtrip_with_cb(self, use_plfs):
-        w = make_world()
+        w = traced_world()
         fac = self.factory(w, use_plfs)
         hints = Hints(cb_enable=True, cb_nodes=2)
         res = run_job(w.env, w.cluster, self.nprocs,
@@ -95,7 +110,7 @@ class TestDrivers:
         assert all(rres.results)
 
     def test_cb_write_then_independent_read(self, use_plfs):
-        w = make_world()
+        w = traced_world()
         fac = self.factory(w, use_plfs)
         hints = Hints(cb_enable=True)
         run_job(w.env, w.cluster, self.nprocs,
@@ -137,7 +152,7 @@ class TestCollectiveBuffering:
 
     def test_empty_collective_participation(self):
         """Ranks with no data still complete collective calls."""
-        w = make_world()
+        w = traced_world()
 
         def fn(ctx):
             f = yield from MPIFile.open(ctx, "/f", "w", UfsDriver(w.volume),

@@ -1,4 +1,8 @@
-"""Edge cases of the two-phase collective buffering implementation."""
+"""Edge cases of the two-phase collective buffering implementation.
+
+Every world here runs under a strict collective-trace validator, so the
+empty-domain barriers and the exchange's sends/recvs are also checked
+for congruence and undelivered messages."""
 
 import pytest
 
@@ -6,7 +10,7 @@ from repro.mpi import run_job
 from repro.mpiio import Hints, MPIFile, UfsDriver
 from repro.pfs.data import LiteralData, PatternData, ZeroData
 from repro.units import KB, KiB, MiB
-from tests.conftest import make_world
+from tests.conftest import traced_world
 
 
 def open_cb(ctx, world, mode, cb_nodes=2):
@@ -17,7 +21,7 @@ def open_cb(ctx, world, mode, cb_nodes=2):
 class TestTwoPhaseWrite:
     def test_piece_spanning_domain_boundary(self):
         """One rank's large piece splits across two aggregator domains."""
-        world = make_world()
+        world = traced_world()
 
         def fn(ctx):
             f = yield from open_cb(ctx, world, "w")
@@ -36,7 +40,7 @@ class TestTwoPhaseWrite:
         assert node.data.read(2 * MiB, 2 * MiB).content_equal(PatternData(2, 0, 2 * MiB))
 
     def test_single_aggregator(self):
-        world = make_world()
+        world = traced_world()
 
         def fn(ctx):
             f = yield from open_cb(ctx, world, "w", cb_nodes=1)
@@ -49,7 +53,7 @@ class TestTwoPhaseWrite:
             assert node.data.read(r * KB, KB).content_equal(PatternData(r, 0, KB))
 
     def test_more_aggregators_than_ranks_clamped(self):
-        world = make_world()
+        world = traced_world()
 
         def fn(ctx):
             f = yield from MPIFile.open(ctx, "/f", "w", UfsDriver(world.volume),
@@ -62,7 +66,7 @@ class TestTwoPhaseWrite:
 
     def test_interleaved_tiny_records_coalesce(self):
         """The aggregator's writes are big & few even with 1 KB records."""
-        world = make_world()
+        world = traced_world()
         nprocs = 8
 
         def fn(ctx):
@@ -81,7 +85,7 @@ class TestTwoPhaseWrite:
 
 class TestTwoPhaseRead:
     def test_read_with_holes_returns_zeros(self):
-        world = make_world()
+        world = traced_world()
 
         def writer(ctx):
             f = yield from open_cb(ctx, world, "w")
@@ -105,7 +109,7 @@ class TestTwoPhaseRead:
         assert all(res.results)
 
     def test_disjoint_requests_per_rank(self):
-        world = make_world()
+        world = traced_world()
         nprocs = 4
 
         def writer(ctx):
@@ -131,7 +135,7 @@ class TestTwoPhaseRead:
         assert all(res.results)
 
     def test_empty_read_round(self):
-        world = make_world()
+        world = traced_world()
 
         def fn(ctx):
             f = yield from open_cb(ctx, world, "w")

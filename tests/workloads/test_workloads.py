@@ -18,7 +18,7 @@ from repro.workloads import (
     plfs_stack,
     run_workload,
 )
-from tests.conftest import make_world
+from tests.conftest import make_world, traced_world
 
 
 def flat_extents(workload, rank):
@@ -147,7 +147,7 @@ class TestMetadataBench:
         assert plfs1.open_time > direct.open_time  # container burden, 1 MDS
 
     def test_n1_open_storm_runs(self):
-        world = make_world(n_volumes=2, federation="subdir")
+        world = traced_world(n_volumes=2, federation="subdir")
         direct = n1_open_storm(world, 16, "direct", path="/s1/f")
         plfs = n1_open_storm(world, 16, "plfs", path="/s2/f")
         assert direct.open_time > 0 and plfs.open_time > 0
