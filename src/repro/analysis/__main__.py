@@ -4,19 +4,17 @@ Usage::
 
     python -m repro.analysis lint src/              # lint a tree
     python -m repro.analysis lint src/ --json       # machine-readable
-    python -m repro.analysis lint src/ --format sarif -o out.sarif
     python -m repro.analysis lint src/ --show-suppressed   # noqa audit
     python -m repro.analysis lint a.py --select REP004,REP006
     python -m repro.analysis rules                  # rule table
     python -m repro.analysis check --workload smallio --budget 200
 
 Exit status: 0 when no findings/violations, 1 when any, 2 on usage
-error.  ``--format sarif`` emits a SARIF 2.1.0 document shared by every
-rule (REP001..REP007) so CI annotates PRs inline from one artifact.
-The sanitizer has no subcommand here — it is a *runtime* check, enabled
-per experiment run with ``python -m repro.harness <figure> --sanitize``
-(and implicitly by ``check``); the collective-congruence gate likewise
-is the runtime trace validator, run with ``--validate-collectives``.
+error.  The sanitizer has no subcommand here — it is a *runtime*
+check, enabled per experiment run with ``python -m repro.harness
+<figure> --sanitize`` (and implicitly by ``check``); the
+collective-congruence gate likewise is the runtime trace validator,
+run with ``--validate-collectives``.
 """
 
 from __future__ import annotations
@@ -65,32 +63,15 @@ def _show_suppressed(paths: List[str], config: AnalysisConfig) -> int:
     return 0
 
 
-def _report(findings: List[Finding], args: argparse.Namespace) -> int:
-    fmt = getattr(args, "format", "text")
-    if args.json:
-        fmt = "json"
-    if fmt == "sarif":
-        from .sarif import render_sarif, to_sarif, validate_sarif
-        errors = validate_sarif(to_sarif(findings))
-        if errors:  # never expected; a reporter bug must fail loudly
-            for e in errors:
-                print(f"sarif internal error: {e}", file=sys.stderr)
-            return 2
-        text = render_sarif(findings)
-    elif fmt == "json":
-        text = json.dumps([f.__dict__ for f in findings], indent=2)
+def _report(findings: List[Finding], as_json: bool) -> int:
+    if as_json:
+        print(json.dumps([f.__dict__ for f in findings], indent=2))
     else:
-        lines = [f.render() for f in findings]
+        for f in findings:
+            print(f.render())
         n = len(findings)
         files = len({f.path for f in findings})
-        lines.append(f"\n{n} finding(s) in {files} file(s)" if n
-                     else "no findings")
-        text = "\n".join(lines)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+        print(f"\n{n} finding(s) in {files} file(s)" if n else "no findings")
     return 1 if findings else 0
 
 
@@ -101,7 +82,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.show_suppressed:
         return _show_suppressed(args.paths, config)
     findings = lint_paths(args.paths, config)
-    return _report(findings, args)
+    return _report(findings, args.json)
 
 
 def _cmd_rules(_args: argparse.Namespace) -> int:
@@ -147,11 +128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint.add_argument("--no-config", action="store_true",
                       help="ignore [tool.repro.analysis] settings")
     lint.add_argument("--json", action="store_true",
-                      help="emit findings as JSON (same as --format json)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text", help="output format (default text)")
-    lint.add_argument("-o", "--output", default="",
-                      help="write the report to a file instead of stdout")
+                      help="emit findings as JSON")
     lint.add_argument("--show-suppressed", action="store_true",
                       help="audit: list every noqa suppression with its "
                            "justification instead of linting")

@@ -2,14 +2,11 @@
 
 from .compare import compare_files, compare_results, render_diffs
 from .diagnostics import cache_report, resource_report
-from .plots import ascii_chart, chart_table
 from .report import Table, render_table, render_tables, save_json
 from .scales import PAPER, SMALL, Scale, get_scale
 from .setup import World, build_world
 
 __all__ = [
-    "ascii_chart",
-    "chart_table",
     "compare_files",
     "compare_results",
     "render_diffs",

@@ -75,10 +75,6 @@ def main(argv=None) -> int:
                              "identical at any job count")
     parser.add_argument("--json", default="",
                         help="also write results to this JSON file")
-    parser.add_argument("--chart", action="store_true",
-                        help="render each table as an ASCII chart too")
-    parser.add_argument("--logy", action="store_true",
-                        help="log-scale the chart y axis (implies --chart)")
     parser.add_argument("--sanitize", action="store_true",
                         help="run under the yield-point race sanitizer "
                              "(repro.analysis): shared-state races raise "
@@ -122,12 +118,6 @@ def main(argv=None) -> int:
         dt = time.time() - t0
         all_tables.extend(tables)
         print(render_tables(tables))
-        if args.chart or args.logy:
-            from .plots import chart_table
-
-            for table in tables:
-                print()
-                print(chart_table(table, logy=args.logy))
         print(f"   [{name}: {dt:.1f}s wall]\n", flush=True)
     if args.json:
         save_json(all_tables, args.json)

@@ -98,7 +98,7 @@ def run_job(env: Engine, cluster: Cluster, nprocs: int,
     start = env.now
     procs = [env.process(fn(contexts[r]), name=f"{name}.r{r}") for r in range(nprocs)]
     done = env.all_of(procs)
-    # The engine may keep running past the job (background drains, other
+    # The engine may keep running past the job (fault recoveries, other
     # jobs' stragglers); the job ends when its last rank returns.
     finish_stamp = {}
     done._add_callback(lambda _ev: finish_stamp.setdefault("t", env.now))
@@ -121,16 +121,20 @@ def run_job(env: Engine, cluster: Cluster, nprocs: int,
             # and the mailbox check name the exact divergence, which is
             # far more actionable than the generic stuck report.
             from ..errors import CollectiveMismatchError
-            from .trace import pending_recvs, validate_comm
+            from .trace import validate_comm
 
             trace_errors = validate_comm(tracer, shared)
             if trace_errors:
                 raise CollectiveMismatchError(
                     report + "\n  non-congruent collective traces or "
                     "undelivered messages:\n  " + "\n  ".join(trace_errors))
-            waiting = pending_recvs(shared)
-            if waiting:
-                report += "\n  waiting receives:\n  " + "\n  ".join(waiting)
+        # A read-only walk of the mailboxes, so it needs no tracer: a rank
+        # stuck in recv is named by (dst, src, tag), the same on every run.
+        from .trace import pending_recvs
+
+        waiting = pending_recvs(shared)
+        if waiting:
+            report += "\n  waiting receives:\n  " + "\n  ".join(waiting)
         raise DeadlockError(report)
     if tracer is not None:
         # Quiescent-drain congruence check (--validate-collectives):

@@ -8,8 +8,6 @@ from .aggregation import (
     read_flattened_index,
 )
 from .api import PlfsMount
-from .burst import BurstWriteHandle, PlfsBurstMount
-from .posix import PlfsPosixFile, PosixAdapter
 from .config import AGGREGATIONS, FEDERATIONS, PlfsConfig
 from .container import ContainerLayout
 from .index import GlobalIndex, WriterIndex
@@ -19,10 +17,6 @@ from .writer import PlfsWriteHandle
 
 __all__ = [
     "PlfsMount",
-    "PlfsBurstMount",
-    "BurstWriteHandle",
-    "PosixAdapter",
-    "PlfsPosixFile",
     "PlfsConfig",
     "AGGREGATIONS",
     "FEDERATIONS",

@@ -2,7 +2,6 @@
 
 from .engine import (AllOf, AnyOf, Engine, Event, Process, Timeout,
                      blocked_report, describe_event)
-from .probes import BandwidthProbe, summarize_probe
 from .resources import FairShareServer, Mutex, Resource, Store
 from .stats import JobMetrics, PhaseClock, Summary, summarize
 
@@ -15,8 +14,6 @@ __all__ = [
     "Timeout",
     "blocked_report",
     "describe_event",
-    "BandwidthProbe",
-    "summarize_probe",
     "FairShareServer",
     "Mutex",
     "Resource",

@@ -63,21 +63,17 @@ class Event:
     :meth:`fail` is called, and *processed* once the engine has run its
     callbacks.  Processes wait on events by ``yield``-ing them.
 
-    Setting ``daemon = True`` *before* the event is scheduled marks it as
-    background work: the engine stops once only daemon events remain
-    (instrumentation probes use this so they never keep a run alive).
-
     ``callbacks`` storage is lazy to keep pending events small: ``None``
     while nothing waits, a bare callable for the overwhelmingly common
     single-waiter case, and a list only once a second waiter attaches.
     Use :meth:`_add_callback` rather than touching the attribute.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_exc", "_processed", "daemon")
+    __slots__ = ("env", "callbacks", "_value", "_exc", "_processed")
 
     # Class-level flag: plain events need no start hook.  Process overrides
     # it with a per-instance slot so the engine can lazily kick generators
-    # off without a throwaway start event (see Engine.step).
+    # off without a throwaway start event (see Engine._run_uncontrolled).
     _started = True
 
     def __init__(self, env: "Engine"):
@@ -86,7 +82,6 @@ class Event:
         self._value: Any = _PENDING
         self._exc: Optional[BaseException] = None
         self._processed = False
-        self.daemon = False
 
     # -- state ------------------------------------------------------------
     @property
@@ -126,8 +121,6 @@ class Event:
         self._value = value
         env = self.env
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
         return self
 
@@ -145,8 +138,6 @@ class Event:
         self._exc = exc
         env = self.env
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
         return self
 
@@ -167,15 +158,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
-
-    ``daemon=True`` marks it background work (see :class:`Event`).
-    """
+    """An event that fires after a fixed simulated delay."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Engine", delay: float, value: Any = None,
-                 daemon: bool = False):
+    def __init__(self, env: "Engine", delay: float, value: Any = None):
         # Inlined Event.__init__ + scheduling: timeouts are the single
         # hottest allocation in the simulator, so they pay no super() call.
         if delay < 0:
@@ -185,10 +172,7 @@ class Timeout(Event):
         self._value = value
         self._exc = None
         self._processed = False
-        self.daemon = daemon
         env._eid += 1
-        if not daemon:
-            env._live += 1
         if delay == 0.0:
             env._immediate.append((env._eid, self))
         else:
@@ -213,7 +197,7 @@ class Process(Event):
     value when the generator finishes (or fails with its exception), so
     processes can wait on other processes by yielding them.
 
-    The process schedules *itself* for start — the engine's step sees the
+    The process schedules *itself* for start — the run loop sees the
     per-instance ``_started = False`` and resumes the generator instead of
     processing a completion, avoiding a throwaway start event per process
     (65,536-rank jobs allocate 65,536 fewer events and callback attaches).
@@ -234,8 +218,6 @@ class Process(Event):
         self._rcb = self._resume  # one bound method, reused for every yield
         self._waiting: Optional[Event] = None
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
 
     @property
@@ -299,8 +281,6 @@ class Process(Event):
         self._rcb = None
         env = self.env
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -410,7 +390,7 @@ def describe_event(ev: Optional[Event], depth: int = 1) -> str:
         return f"any_of over {len(ev._events)} events, none fired"
     if isinstance(ev, Timeout):
         return "a timeout that never fired (scheduled past the run horizon?)"
-    return f"{type(ev).__name__} at {id(ev):#x}"
+    return f"an untriggered {type(ev).__name__}"
 
 
 def blocked_report(procs: Iterable[Process]) -> str:
@@ -428,7 +408,7 @@ class Engine:
 
     Events scheduled for the *current* instant (triggers, process starts
     and completions) go to the immediate deque; only genuine delays enter
-    the heap.  :meth:`step` interleaves the two so that events still fire
+    the heap.  The run loop interleaves the two so that events still fire
     in exact (time, sequence-id) order.
 
     Typical use::
@@ -443,7 +423,6 @@ class Engine:
         self._heap: List = []
         self._immediate: deque = deque()
         self._eid = 0
-        self._live = 0  # scheduled non-daemon events
         self._san = None  # yield-point race sanitizer (see attach_sanitizer)
         self._sched = None  # controlled scheduler (see attach_scheduler)
         # The factories are the hottest constructors in the simulator;
@@ -521,10 +500,9 @@ class Engine:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None, *,
-                daemon: bool = False) -> Timeout:
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing after *delay* simulated seconds."""
-        return Timeout(self, delay, value, daemon=daemon)
+        return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Spawn *gen* as a simulated process."""
@@ -538,7 +516,7 @@ class Engine:
         """Event that fires with the first child."""
         return AnyOf(self, events)
 
-    def schedule_at(self, t: float, *, daemon: bool = False) -> Event:
+    def schedule_at(self, t: float) -> Event:
         """An event firing at *absolute* simulated time *t* (value ``None``).
 
         Unlike ``timeout(t - now)``, the fire time is exactly the float
@@ -549,78 +527,15 @@ class Engine:
             raise SimulationError(f"schedule_at({t}) is in the past (now={self._now})")
         ev = Event(self)
         ev._value = None
-        ev.daemon = daemon
         self._eid += 1
-        if not daemon:
-            self._live += 1
         if t == self._now:
             self._immediate.append((self._eid, ev))
         else:
             heapq.heappush(self._heap, (t, self._eid, ev))
         return ev
 
-    # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._eid += 1
-        if not event.daemon:
-            self._live += 1
-        if delay == 0.0:
-            self._immediate.append((self._eid, event))
-        else:
-            heapq.heappush(self._heap, (self._now + delay, self._eid, event))
-
-    def step(self) -> None:
-        """Process the next event in (time, sequence-id) order.
-
-        Raises :class:`SimulationError` when both the immediate queue and
-        the heap are empty (stepping an exhausted simulation is a bug in
-        the caller, not an expected condition).
-        """
-        imm = self._immediate
-        if imm:
-            # Every immediate entry is stamped with the current time, but a
-            # heap entry may share that timestamp with a smaller sequence id
-            # (a timeout armed earlier that lands exactly now) — it must
-            # fire first to preserve the global (time, eid) order.
-            heap = self._heap
-            if heap and heap[0][0] <= self._now and heap[0][1] < imm[0][0]:
-                _, _, event = heapq.heappop(heap)
-            else:
-                _, event = imm.popleft()
-        else:
-            heap = self._heap
-            if not heap:
-                raise SimulationError("step() on an empty event queue")
-            t, _, event = heapq.heappop(heap)
-            if t < self._now:  # pragma: no cover - defensive
-                raise SimulationError("time went backwards")
-            self._now = t
-        if not event.daemon:
-            self._live -= 1
-        if not event._started:
-            # A process awaiting its first resume, not a completion.
-            event._started = True
-            event._resume(_INIT)
-            return
-        cbs = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if cbs is not None:
-            if type(cbs) is list:
-                for cb in cbs:
-                    cb(event)
-            else:
-                cbs(event)
-        elif event._exc is not None:
-            # A failed event nobody waited for: surface the bug.
-            raise event._exc
-
     def run(self, until: Optional[float] = None) -> None:
-        """Run until only daemon work remains, or until simulated time *until*.
-
-        Daemon events (instrumentation probes) never keep a run alive; they
-        stay queued and resume if later real work advances the clock past
-        them.
+        """Run until the event queue drains, or until simulated time *until*.
 
         CPython's cyclic collector is held off for the duration and the
         caller's setting restored on every exit.  The loop's steady state
@@ -643,15 +558,18 @@ class Engine:
 
     def _run_uncontrolled(self, until: Optional[float]) -> None:
         """The stock run loop: events fire in exact (time, eid) order."""
-        # The loop below is step() inlined (minus the defensive checks that
-        # structurally cannot trip here): one Python frame per event is the
-        # difference between "tens of minutes" and "minutes" at paper scale.
+        # The dispatch is inlined rather than a per-event method call: one
+        # Python frame per event is the difference between "tens of minutes"
+        # and "minutes" at paper scale.  Every immediate entry is stamped
+        # with the current time, but a heap entry may share that timestamp
+        # with a smaller sequence id (a timeout armed earlier that lands
+        # exactly now) — it must fire first to keep the (time, eid) order.
         imm = self._immediate
         heap = self._heap
         heappop = heapq.heappop
         horizon = float("inf") if until is None else until
         popleft = imm.popleft
-        while self._live > 0:
+        while True:
             if imm:
                 if heap and heap[0][0] <= self._now and heap[0][1] < imm[0][0]:
                     _, _, event = heappop(heap)
@@ -666,8 +584,6 @@ class Engine:
                 self._now = t
             else:
                 return
-            if not event.daemon:
-                self._live -= 1
             if not event._started:
                 event._started = True
                 event._resume(_INIT)
@@ -703,7 +619,7 @@ class Engine:
         heap = self._heap
         heappop = heapq.heappop
         horizon = float("inf") if until is None else until
-        while self._live > 0:
+        while imm or heap:
             ready = []
             while heap and heap[0][0] <= self._now:
                 _, eid, ev = heappop(heap)
@@ -711,8 +627,7 @@ class Engine:
             while imm:
                 ready.append(imm.popleft())
             if not ready:
-                if not heap:
-                    break
+                # Nothing due now, so the heap holds a later instant.
                 sched.quiescent(self._now)
                 t = heap[0][0]
                 if t > horizon:
@@ -727,8 +642,6 @@ class Engine:
                 imm.extendleft(reversed(ready))
             else:
                 eid, event = ready[0]
-            if not event.daemon:
-                self._live -= 1
             sched.fired(eid, event)
             if not event._started:
                 event._started = True

@@ -89,11 +89,3 @@ class TestCLI:
         assert "fig7a" in captured
         data = json.loads(out_json.read_text())
         assert "fig7a" in data and "fig7b" in data
-
-    def test_main_chart_flag(self, capsys):
-        from repro.harness.__main__ import main
-
-        assert main(["fig7", "--chart", "--logy"]) == 0
-        captured = capsys.readouterr().out
-        assert "[log y]" in captured
-        assert "a=PLFS-1" in captured

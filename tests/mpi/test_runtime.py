@@ -102,6 +102,24 @@ class TestRunJob:
         assert "r1" in msg and "r2" in msg
         assert "waiting on" in msg
 
+    def test_untraced_deadlock_report_names_the_mailbox_deterministically(self):
+        """With no collective tracer attached, a rank stuck in recv is still
+        named by its mailbox, and the report carries no object address."""
+
+        def fn(ctx):
+            if ctx.rank == 1:
+                yield from ctx.comm.recv(0, tag=("never", 1))
+            yield ctx.env.timeout(0)
+
+        reports = []
+        for _ in range(2):
+            env, cluster = make()
+            with pytest.raises(DeadlockError) as exc:
+                run_job(env, cluster, 4, fn, name="dl")
+            reports.append(str(exc.value))
+        assert "(dst=1, src=0, tag=('never', 1))" in reports[0]
+        assert reports[0] == reports[1]
+
     def test_sequential_jobs_share_the_engine_clock(self):
         env, cluster = make()
 

@@ -115,6 +115,29 @@ def yield_view_slice(view, offset, length):
     return DataView(out)
 
 
+def test_independent_open_under_original_aggregation():
+    """An open with no communicator (``comm=None``) under Original
+    aggregation: the lone reader walks every index log itself."""
+    w = make_world(aggregation="original")
+    nprocs, per_proc, rec = 4, 20 * KB, 5 * KB
+    run_job(w.env, w.cluster, nprocs, n1_writer(w.mount, "/f", per_proc, rec))
+
+    def reader(ctx):
+        fh = yield from w.mount.open_read(ctx.client, "/f", None)
+        views = []
+        for rank in range(nprocs):
+            view = yield from fh.read(rank * rec, rec)
+            views.append(view.content_equal(PatternData(rank, 0, rec)))
+        yield from fh.close()
+        return fh.size, views
+
+    size, views = run_job(w.env, w.cluster, 1, reader,
+                          client_id_base=2000).results[0]
+    assert size == nprocs * per_proc
+    assert all(views)
+    assert len(w.mount._index_cache) == 1  # Original's memo, not Parallel's
+
+
 @pytest.mark.parametrize("federation", ["none", "container", "subdir"])
 def test_federation_roundtrip(federation):
     w = make_world(n_volumes=3, federation=federation, aggregation="parallel")

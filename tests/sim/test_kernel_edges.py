@@ -4,9 +4,8 @@ The immediate-event fast path and the deadline-based FairShareServer
 timers both change *how* events are queued without being allowed to
 change *when* or *in what order* they fire.  These tests pin the
 observable contracts: (time, eid) FIFO ordering of same-timestamp
-events, daemon-event run termination, step() on an exhausted queue, the
-float-underflow completion branch, and serve_many's exact equivalence to
-a loop of serve() calls.
+events, exact absolute-time scheduling, the float-underflow completion
+branch, and serve_many's exact equivalence to a loop of serve() calls.
 """
 
 import pytest
@@ -62,44 +61,6 @@ class TestSameTimestampOrdering:
             env.process(proc(env, tag))
         env.run()
         assert log == ["a", "b", "c"]
-
-
-class TestDaemonTermination:
-    def test_daemon_timeout_does_not_keep_run_alive(self):
-        env = Engine()
-        env.timeout(100.0, daemon=True)
-        env.timeout(2.0)
-        env.run()
-        assert env.now == 2.0
-
-    def test_daemon_only_queue_stops_immediately(self):
-        env = Engine()
-        env.timeout(5.0, daemon=True)
-        env.run()
-        assert env.now == 0.0
-
-    def test_daemon_fires_if_real_work_outlasts_it(self):
-        env = Engine()
-        fired = []
-        probe = env.timeout(1.0, daemon=True)
-        probe._add_callback(lambda _ev: fired.append(env.now))
-        env.timeout(3.0)
-        env.run()
-        assert fired == [1.0]
-
-
-class TestStepEmptyQueue:
-    def test_step_on_fresh_engine_raises_simulation_error(self):
-        env = Engine()
-        with pytest.raises(SimulationError, match="empty event queue"):
-            env.step()
-
-    def test_step_after_run_exhausts_raises_simulation_error(self):
-        env = Engine()
-        env.timeout(1.0)
-        env.run()
-        with pytest.raises(SimulationError):
-            env.step()
 
 
 class TestScheduleAt:
